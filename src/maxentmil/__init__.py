@@ -51,6 +51,7 @@ from .solvers import (
     epsilon_bound,
     fit_cmen,
     fit_columns_relaxed,
+    fit_joint,
     fit_mde,
     fit_rmde,
     g_and_grad,

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .basis import domain_from_data, make_auto_grid, make_basis
 from .maxent import BasisGrid, NewtonConfig, densities_from_columns, suff_stats
-from .mil import CitationKnnConfig, PipelineConfig, evaluate_split, sym_kl_matrix
+from .mil import DISTANCES, CitationKnnConfig, PipelineConfig, evaluate_split, sym_kl_matrix
 from .modelio import (
     load_model,
     model_to_dict,
@@ -43,17 +43,7 @@ from .experiments import (
     synth_lowrank_lambda,
     synth_two_class_bags,
 )
-from .solvers import (
-    CmenaConfig,
-    FitReport,
-    fit_cmen,
-    fit_columns_relaxed,
-    fit_rmde,
-    rmde_continuation,
-    rmde_cross_validate,
-)
-
-FIT_SOLVERS = ("mde", "rmde", "rmde-continuation", "rmde-cv", "cmen")
+from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, fit_joint
 
 _CONFIG_KEYS = {
     "fit": {"seed", "m", "solver", "eta", "etas", "a", "margin", "grid_points",
@@ -158,7 +148,7 @@ def cmd_fit(args) -> int:
             "m": 20,
             "solver": "cmen",
             "eta": 1.0,
-            "etas": [10.0**k for k in range(-4, 5)],
+            "etas": list(DEFAULT_CV_ETAS),
             "a": 1.0,
             "margin": 0.1,
             "grid_points": 64,
@@ -166,8 +156,8 @@ def cmd_fit(args) -> int:
             "cv_split_seed": 0,
         },
     )
-    if params["solver"] not in FIT_SOLVERS:
-        raise ValueError(f"solver must be one of {FIT_SOLVERS}")
+    if params["solver"] not in JOINT_SOLVERS:
+        raise ValueError(f"solver must be one of {JOINT_SOLVERS}")
     params["newton"] = config.get("newton", {})
     params["cmena"] = config.get("cmena", {})
     dataset = read_bags(args.dataset)
@@ -179,33 +169,11 @@ def cmd_fit(args) -> int:
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
     engine = BasisGrid(spec, grid)
     stats = [suff_stats(b.instances, spec, b.bag_id) for b in dataset.bags]
-    start = time.perf_counter()
     name = params["solver"]
-    hat, fit_notes = fit_columns_relaxed(stats, spec, grid, newton, engine=engine)
-    if name == "mde":
-        matrix = hat
-        report = FitReport(solver="mde", wall_time=time.perf_counter() - start)
-    elif name == "rmde":
-        matrix, report = fit_rmde(
-            stats, spec, grid, params["eta"], cmena, newton, engine=engine, init=hat
-        )
-    elif name == "rmde-continuation":
-        matrix, report = rmde_continuation(
-            stats, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
-        )
-    elif name == "rmde-cv":
-        best_eta, matrix = rmde_cross_validate(
-            stats, spec, grid, list(params["etas"]), params["cv_split_seed"],
-            cmena, newton, engine=engine,
-        )
-        report = FitReport(
-            solver="rmde-cv", etas=[best_eta], wall_time=time.perf_counter() - start
-        )
-    else:
-        matrix, report = fit_cmen(
-            stats, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
-        )
-    report.warnings.extend(fit_notes)
+    matrix, report = fit_joint(
+        name, stats, spec, grid, engine, cmena, newton,
+        eta=params["eta"], etas=params["etas"], split_seed=params["cv_split_seed"],
+    )
     densities = densities_from_columns(matrix.data, matrix.bag_ids, spec, grid, engine)
     write_json(
         out / "model.json",
@@ -291,13 +259,7 @@ def _phase_cell_path(out: Path, solver: str, m: int, t: int) -> Path:
 
 
 def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[dict]:
-    pd = PhaseDiagramSpec(
-        n_bags=pd.n_bags, m_values=pd.m_values, t_values=pd.t_values,
-        n_per_bag=pd.n_per_bag, reps=pd.reps, base_seed=pd.base_seed,
-        solver=solver, threads=pd.threads, d=pd.d,
-        domain_halfwidth=pd.domain_halfwidth, grid_points=pd.grid_points,
-        cv_etas=pd.cv_etas, cmena=pd.cmena, newton=pd.newton,
-    )
+    pd = replace(pd, solver=solver)
     (out / "cells").mkdir(exist_ok=True)
     done: set[tuple[int, int]] = set()
     rows: dict[tuple[int, int], dict] = {}
@@ -532,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="bags file (.jsonl or .csv)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--solver", choices=FIT_SOLVERS)
+    p.add_argument("--solver", choices=JOINT_SOLVERS)
     p.add_argument("--m", type=int, help="feature count (even)")
     p.add_argument("--seed", type=int)
     p.add_argument("--eta", type=float, help="penalty weight for solver=rmde")
@@ -568,9 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument(
-        "--distance", choices=("kl-cmen", "kl-rmde", "kl-mde", "kl-kde", "hausdorff")
-    )
+    p.add_argument("--distance", choices=DISTANCES)
     p.add_argument("--m", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--pca-dims", type=int, dest="pca_dims")

@@ -29,16 +29,12 @@ from .maxent import (
     suff_stats,
 )
 from .solvers import (
+    DEFAULT_CV_ETAS,
     CmenaConfig,
     LambdaMatrix,
     epsilon_bound,
-    fit_cmen,
-    fit_columns_relaxed,
-    rmde_continuation,
-    rmde_cross_validate,
+    fit_joint,
 )
-
-DEFAULT_CV_ETAS = tuple(10.0**k for k in range(-4, 5))
 
 PHASE_SOLVERS = ("cmen", "rmde-continuation", "rmde-cv")
 
@@ -189,14 +185,6 @@ class PhaseCell:
     warnings: tuple[str, ...] = ()
 
 
-def _fit_matrix_relaxed(
-    stats_list, spec, grid, newton, engine
-) -> tuple[LambdaMatrix, list[str]]:
-    """Column-wise ML matrix with the tolerance-relaxation ladder, so one
-    plateaued bag does not abort a whole experiment cell."""
-    return fit_columns_relaxed(stats_list, spec, grid, newton, engine=engine)
-
-
 def _sample_stats_for_truth(
     truth: LambdaMatrix, spec, grid, engine, n_per_bag, seed_parts
 ) -> list:
@@ -224,29 +212,12 @@ def _phase_rep(args) -> tuple[int, int, int, int, tuple[str, ...]]:
         stats = _sample_stats_for_truth(
             truth, spec, grid, engine, pd.n_per_bag, (pd.base_seed, m, t, rep)
         )
-        hat, fit_notes = _fit_matrix_relaxed(stats, spec, grid, pd.newton, engine)
-        warnings.extend(fit_notes)
-        if pd.solver == "cmen":
-            sol, rep_report = fit_cmen(
-                stats, spec, grid, pd.cmena, pd.newton, engine=engine, lambda_hat=hat
-            )
-            warnings.extend(rep_report.warnings)
-        elif pd.solver == "rmde-continuation":
-            sol, rep_report = rmde_continuation(
-                stats, spec, grid, pd.cmena, pd.newton, engine=engine, lambda_hat=hat
-            )
-            warnings.extend(rep_report.warnings)
-        else:
-            _, sol = rmde_cross_validate(
-                stats,
-                spec,
-                grid,
-                list(pd.cv_etas),
-                derive_seed(pd.base_seed, m, t, rep, "cv-split"),
-                pd.cmena,
-                pd.newton,
-                engine=engine,
-            )
+        sol, rep_report = fit_joint(
+            pd.solver, stats, spec, grid, engine, pd.cmena, pd.newton,
+            etas=pd.cv_etas,
+            split_seed=derive_seed(pd.base_seed, m, t, rep, "cv-split"),
+        )
+        warnings.extend(rep_report.warnings)
         rank = numeric_rank(sol.data, threshold)
     except Exception as exc:  # record, never abort the sweep
         warnings.append(f"rep failed: {type(exc).__name__}: {exc}")

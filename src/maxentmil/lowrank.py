@@ -1,5 +1,5 @@
 """Spectral operators: SVD access, nuclear norm, singular-value
-soft-thresholding, numeric rank, and a ladder-style truncated SVD."""
+soft-thresholding, numeric rank, and the SVD truncated at a cut."""
 
 from __future__ import annotations
 
@@ -64,38 +64,11 @@ def numeric_rank(x: np.ndarray, threshold: float) -> int:
     return int((s > threshold).sum())
 
 
-def _ladder_sizes(s: np.ndarray, cut: float, start: int, step: int) -> list[int]:
-    """Sizes requested from a truncated-SVD backend: ask for `start` values,
-    then grow by `step` while the smallest value seen still exceeds the cut."""
-    total = s.shape[0]
-    sizes = []
-    b = start
-    while True:
-        b_eff = min(b, total)
-        sizes.append(b_eff)
-        if b_eff >= total or s[b_eff - 1] <= cut:
-            break
-        b += step
-    return sizes
-
-
-def rank_ladder_svd(
-    x: np.ndarray, cut: float, start: int = 5, step: int = 5
-) -> SvdFactors:
-    """Exactly the singular triplets with value > cut, found by laddering.
-
-    The ladder requests `start` triplets and grows the request by `step`
-    until the smallest computed value drops to the cut, mirroring how an
-    iterative partial-SVD backend would be driven. At this scale the
-    backend is a dense SVD, so the result is identical to filtering a full
-    decomposition; the ladder bookkeeping is preserved so an iterative
-    backend can slot in.
-    """
+def rank_ladder_svd(x: np.ndarray, cut: float) -> SvdFactors:
+    """Exactly the singular triplets with value > cut: a dense SVD with the
+    values at or below the cut filtered out."""
     if cut <= 0:
         raise ValueError("cut must be > 0")
-    if start < 1 or step < 1:
-        raise ValueError("start and step must be >= 1")
     f = svd(x)
-    _ladder_sizes(f.s, cut, start, step)
     r = int((f.s > cut).sum())
     return SvdFactors(u=f.u[:, :r], s=f.s[:r], v=f.v[:, :r])

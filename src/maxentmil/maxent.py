@@ -13,7 +13,7 @@ their node distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class MEDensity:
     @property
     def m(self) -> int:
         return self.lam.shape[0]
+
+
+# Rungs of the tolerance-relaxation ladder past the requested grad_tol; every
+# relaxed fit in the package tries grad_tol * 10**k for k = 0..MAX_RELAX.
+MAX_RELAX = 3
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,8 @@ class BasisGrid:
         return logz, means
 
 
-def _engine(spec, grid, engine: BasisGrid | None) -> BasisGrid:
+def as_engine(spec, grid, engine: BasisGrid | None) -> BasisGrid:
+    """The shared engine when one is passed, else a fresh one for (spec, grid)."""
     return engine if engine is not None else BasisGrid(spec, grid)
 
 
@@ -171,7 +177,7 @@ def log_partition(lam, spec, grid, engine: BasisGrid | None = None) -> float:
     lam = np.asarray(lam, dtype=float)
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
-    return _engine(spec, grid, engine).log_partition(lam)
+    return as_engine(spec, grid, engine).log_partition(lam)
 
 
 def density_moments(lam, spec, grid, engine: BasisGrid | None = None):
@@ -179,7 +185,7 @@ def density_moments(lam, spec, grid, engine: BasisGrid | None = None):
     lam = np.asarray(lam, dtype=float)
     if not np.isfinite(lam).all():
         raise ValueError("lam must be finite")
-    _, mean, cov = _engine(spec, grid, engine).moments(lam)
+    _, mean, cov = as_engine(spec, grid, engine).moments(lam)
     return mean, cov
 
 
@@ -188,7 +194,7 @@ def sde_objective(lam, stats: SufficientStats, spec, grid, engine=None) -> float
     lam = np.asarray(lam, dtype=float)
     if lam.shape[0] != stats.m:
         raise ValueError(f"lam has {lam.shape[0]} entries, stats expect {stats.m}")
-    eng = _engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     return stats.n * (eng.log_partition(lam) - float(lam @ stats.phi_bar))
 
 
@@ -198,7 +204,7 @@ def sde_grad_hess(lam, stats: SufficientStats, spec, grid, engine=None):
     lam = np.asarray(lam, dtype=float)
     if lam.shape[0] != stats.m:
         raise ValueError(f"lam has {lam.shape[0]} entries, stats expect {stats.m}")
-    _, mean, cov = _engine(spec, grid, engine).moments(lam)
+    _, mean, cov = as_engine(spec, grid, engine).moments(lam)
     return stats.n * (mean - stats.phi_bar), stats.n * cov
 
 
@@ -221,7 +227,7 @@ def fit_sde(
     Raises ConvergenceError (carrying the last gradient norm) if the
     iteration budget runs out.
     """
-    eng = _engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     m = stats.m
     if eng.m != m:
         raise ValueError(f"stats have m={m} but the basis produces {eng.m} features")
@@ -269,7 +275,7 @@ def fit_sde_relaxed(
     cfg: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
     relax_factor: float = 10.0,
-    max_relax: int = 2,
+    max_relax: int = MAX_RELAX,
 ) -> tuple[MEDensity, list[str]]:
     """fit_sde with a tolerance-relaxation ladder.
 
@@ -283,19 +289,7 @@ def fit_sde_relaxed(
     for level in range(max_relax + 1):
         tol = cfg.grad_tol * relax_factor**level
         try:
-            dens = fit_sde(
-                stats,
-                spec,
-                grid,
-                NewtonConfig(
-                    max_iters=cfg.max_iters,
-                    grad_tol=tol,
-                    armijo_c=cfg.armijo_c,
-                    backtrack_rho=cfg.backtrack_rho,
-                    hessian_ridge=cfg.hessian_ridge,
-                ),
-                engine=engine,
-            )
+            dens = fit_sde(stats, spec, grid, replace(cfg, grad_tol=tol), engine=engine)
             if level:
                 notes.append(
                     f"bag {stats.bag_id!r}: gradient tolerance relaxed to {tol:.1e}"
@@ -356,7 +350,7 @@ def densities_from_columns(
 ) -> list[MEDensity]:
     """Materialize one density per column of an (m, N) parameter matrix,
     caching logZ and feature means in a single batched pass."""
-    eng = _engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     data = np.asarray(data, dtype=float)
     logz, means = eng.logz_and_mean_many(data)
     key = spec.key if hasattr(spec, "key") else ("basis", eng.m)

@@ -24,9 +24,12 @@ from .maxent import (
     suff_stats,
     sym_kl,
 )
-from .solvers import CmenaConfig, LambdaMatrix, fit_cmen, rmde_continuation
+from .solvers import CmenaConfig, fit_joint
 
 DISTANCES = ("kl-cmen", "kl-rmde", "kl-mde", "kl-kde", "hausdorff")
+
+# The joint solver behind each fitted-density distance.
+_JOINT_SOLVER = {"kl-cmen": "cmen", "kl-rmde": "rmde-continuation", "kl-mde": "mde"}
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,7 @@ def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
     """Pairwise bag distances. kind selects the metric family; items must
     match it (fitted densities for kl-*, KdeModel for kl-kde, instance
     arrays for hausdorff)."""
-    if kind in ("kl-cmen", "kl-rmde", "kl-mde"):
+    if kind in _JOINT_SOLVER:
         if not all(isinstance(x, MEDensity) for x in items):
             raise ValueError(f"kind {kind!r} expects fitted densities")
         return sym_kl_matrix(list(items))
@@ -388,27 +391,11 @@ def _preprocess(train: LabeledBagDataset, test: LabeledBagDataset, cfg):
     return train, test
 
 
-def _fit_bag_densities(stats, spec, grid, engine, newton):
-    return [fit_sde_relaxed(s, spec, grid, newton, engine=engine)[0] for s in stats]
-
-
 def _train_densities(train: LabeledBagDataset, spec, grid, engine, cfg):
     stats = [suff_stats(b.instances, spec, b.bag_id) for b in train.bags]
-    if cfg.distance == "kl-mde":
-        return _fit_bag_densities(stats, spec, grid, engine, cfg.newton)
-    hat_densities = _fit_bag_densities(stats, spec, grid, engine, cfg.newton)
-    hat = LambdaMatrix(
-        data=np.column_stack([d.lam for d in hat_densities]),
-        bag_ids=tuple(s.bag_id for s in stats),
+    sol, _ = fit_joint(
+        _JOINT_SOLVER[cfg.distance], stats, spec, grid, engine, cfg.cmena, cfg.newton
     )
-    if cfg.distance == "kl-cmen":
-        sol, _ = fit_cmen(
-            stats, spec, grid, cfg.cmena, cfg.newton, engine=engine, lambda_hat=hat
-        )
-    else:  # kl-rmde
-        sol, _ = rmde_continuation(
-            stats, spec, grid, cfg.cmena, cfg.newton, engine=engine, lambda_hat=hat
-        )
     return densities_from_columns(sol.data, sol.bag_ids, spec, grid, engine=engine)
 
 

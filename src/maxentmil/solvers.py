@@ -1,14 +1,20 @@
 """Joint estimation over all bags.
 
-Three solvers share one geometry: the (m, N) parameter matrix whose column
+The solvers share one geometry: the (m, N) parameter matrix whose column
 i is bag i's density parameter.
 
-* fit_mde       — column-wise maximum likelihood (separable Newton fits).
+* fit_columns_relaxed — column-wise maximum likelihood (separable Newton
+                  fits, each down the tolerance-relaxation ladder); fit_mde
+                  is its strict form.
 * fit_rmde      — likelihood plus eta * nuclear norm, by proximal gradient.
+* rmde_continuation — fit_rmde down a geometric eta ladder.
+* rmde_cross_validate — fit_rmde at the eta that wins a held-out bag split.
 * fit_cmen      — nuclear-norm minimization subject to the likelihood
                   confidence constraint g(L) <= eps, by an accelerated
                   proximal inner loop nested in a bisection on the dual
                   multiplier z (CMENA).
+* fit_joint     — the one dispatch: fits the column-wise ML matrix once and
+                  runs the named solver from it.
 
 g(L) is the total KL divergence of the columns from the unrestricted ML
 estimates, weighted by bag sizes; eps = a*N*m/2 is its parameter-free
@@ -25,14 +31,20 @@ import numpy as np
 from .errors import ConvergenceError
 from .lowrank import nuclear_norm, numeric_rank, soft_threshold, svd
 from .maxent import (
+    MAX_RELAX,
     BasisGrid,
     NewtonConfig,
     SufficientStats,
-    fit_sde,
+    as_engine,
+    fit_sde,  # noqa: F401  (the single-bag fit, reachable as solvers.fit_sde)
     fit_sde_relaxed,
 )
 
 RANK_TOL = 1e-8  # threshold for the ranks recorded in fit reports
+
+JOINT_SOLVERS = ("mde", "rmde", "rmde-continuation", "rmde-cv", "cmen")
+
+DEFAULT_CV_ETAS = tuple(10.0**k for k in range(-4, 5))
 
 
 @dataclass(frozen=True)
@@ -154,8 +166,36 @@ class _JointProblem:
         return val, grad
 
 
-def _as_engine(spec, grid, engine: BasisGrid | None) -> BasisGrid:
-    return engine if engine is not None else BasisGrid(spec, grid)
+def _fit_columns(
+    stats_list: list[SufficientStats], spec, grid, cfg, engine, max_relax: int
+) -> tuple[LambdaMatrix, list[str]]:
+    """The column loop behind fit_mde and fit_columns_relaxed: one
+    fit_sde_relaxed per bag, then one ConvergenceError listing every bag
+    that failed at every rung."""
+    if not stats_list:
+        raise ValueError("need at least one bag")
+    eng = as_engine(spec, grid, engine)
+    columns, notes, failed, reasons = [], [], [], []
+    for stats in stats_list:
+        try:
+            dens, bag_notes = fit_sde_relaxed(
+                stats, spec, grid, cfg, engine=eng, max_relax=max_relax
+            )
+        except ConvergenceError as exc:
+            failed.append(stats.bag_id)
+            reasons.append(str(exc))
+            continue
+        columns.append(dens.lam)
+        notes.extend(bag_notes)
+    if failed:
+        raise ConvergenceError(
+            f"{len(failed)} bag(s) failed to converge: {'; '.join(reasons)}",
+            failed_bag_ids=failed,
+        )
+    matrix = LambdaMatrix(
+        data=np.column_stack(columns), bag_ids=tuple(s.bag_id for s in stats_list)
+    )
+    return matrix, notes
 
 
 def fit_mde(
@@ -165,29 +205,13 @@ def fit_mde(
     cfg: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
 ) -> LambdaMatrix:
-    """Unrestricted ML estimate: the objective separates over bags, so each
-    column is an independent single-bag Newton fit.
+    """Unrestricted ML estimate at exactly cfg.grad_tol: the objective
+    separates over bags, so each column is an independent single-bag
+    Newton fit.
 
     Raises one ConvergenceError listing every bag that failed.
     """
-    if not stats_list:
-        raise ValueError("need at least one bag")
-    eng = _as_engine(spec, grid, engine)
-    columns, failed = [], []
-    for stats in stats_list:
-        try:
-            columns.append(fit_sde(stats, spec, grid, cfg, engine=eng).lam)
-        except ConvergenceError:
-            columns.append(np.zeros(eng.m))
-            failed.append(stats.bag_id)
-    if failed:
-        raise ConvergenceError(
-            f"{len(failed)} bag(s) failed to converge: {', '.join(failed)}",
-            failed_bag_ids=failed,
-        )
-    return LambdaMatrix(
-        data=np.column_stack(columns), bag_ids=tuple(s.bag_id for s in stats_list)
-    )
+    return _fit_columns(stats_list, spec, grid, cfg, engine, max_relax=0)[0]
 
 
 def fit_columns_relaxed(
@@ -196,29 +220,16 @@ def fit_columns_relaxed(
     grid,
     cfg: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
-    max_relax: int = 3,
 ) -> tuple[LambdaMatrix, list[str]]:
-    """Column-wise ML matrix with the per-bag tolerance-relaxation ladder.
+    """Column-wise ML matrix with fit_sde_relaxed's tolerance-relaxation
+    ladder.
 
     Unlike fit_mde, a bag whose Newton system plateaus above the requested
     gradient tolerance is refit at a looser one instead of failing the
-    whole matrix; the relaxations used are returned as warnings.
+    whole matrix; the relaxations used are returned as warnings. A bag
+    that fails at every rung still raises, as in fit_mde.
     """
-    if not stats_list:
-        raise ValueError("need at least one bag")
-    eng = _as_engine(spec, grid, engine)
-    columns, notes = [], []
-    for stats in stats_list:
-        dens, bag_notes = fit_sde_relaxed(
-            stats, spec, grid, cfg, engine=eng, max_relax=max_relax
-        )
-        columns.append(dens.lam)
-        notes.extend(bag_notes)
-    matrix = LambdaMatrix(
-        data=np.column_stack(columns),
-        bag_ids=tuple(s.bag_id for s in stats_list),
-    )
-    return matrix, notes
+    return _fit_columns(stats_list, spec, grid, cfg, engine, max_relax=MAX_RELAX)
 
 
 def g_and_grad(
@@ -237,7 +248,7 @@ def g_and_grad(
     """
     if Lambda.data.shape != lambda_hat.data.shape:
         raise ValueError("Lambda and lambda_hat shapes differ")
-    eng = _as_engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     prob = _JointProblem(eng, stats_list)
     if Lambda.m != eng.m:
         raise ValueError("Lambda row count does not match the basis")
@@ -440,7 +451,7 @@ def fit_cmen(
     exhaustion is flagged in the report, never raised.
     """
     start = time.perf_counter()
-    eng = _as_engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     if lambda_hat is None:
         lambda_hat = fit_mde(stats_list, spec, grid, newton, engine=eng)
     prob = _JointProblem(eng, stats_list)
@@ -560,7 +571,7 @@ def fit_rmde(
     if eta <= 0:
         raise ValueError("eta must be positive")
     start = time.perf_counter()
-    eng = _as_engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     if init is None:
         init = fit_mde(stats_list, spec, grid, newton, engine=eng)
     prob = _JointProblem(eng, stats_list)
@@ -610,7 +621,7 @@ def rmde_continuation(
     per-stage rank trace is kept in the report.
     """
     start = time.perf_counter()
-    eng = _as_engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
     if lambda_hat is None:
         lambda_hat = fit_mde(stats_list, spec, grid, newton, engine=eng)
     eta0 = max(float(np.linalg.norm(lambda_hat.data) ** 2), 1e-12)
@@ -644,24 +655,32 @@ def rmde_cross_validate(
     cfg: CmenaConfig = CmenaConfig(),
     newton: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
+    lambda_hat: LambdaMatrix | None = None,
 ) -> tuple[float, LambdaMatrix]:
     """Pick eta on a seeded 70/30 bag split, then refit on all bags.
 
     A held-out bag is scored against its best-matching trained column:
     min over columns of n * (logZ(col) - col . phi_bar). The eta with the
-    lowest total held-out score wins (first on ties).
+    lowest total held-out score wins (first on ties). Both fits start from
+    the column-wise ML matrix (lambda_hat, fitted here when not given);
+    its columns are independent, so the training split's start is just
+    its training columns.
     """
     if not etas:
         raise ValueError("etas must be nonempty")
     n_bags = len(stats_list)
     if n_bags < 4:
         raise ValueError("cross-validation needs at least 4 bags")
-    eng = _as_engine(spec, grid, engine)
+    eng = as_engine(spec, grid, engine)
+    if lambda_hat is None:
+        lambda_hat, _ = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
     perm = np.random.default_rng(split_seed).permutation(n_bags)
     n_train = min(max(int(round(0.7 * n_bags)), 1), n_bags - 1)
     train = [stats_list[i] for i in perm[:n_train]]
     held = [stats_list[i] for i in perm[n_train:]]
-    hat_train, _ = fit_columns_relaxed(train, spec, grid, newton, engine=eng)
+    hat_train = LambdaMatrix(
+        data=lambda_hat.data[:, perm[:n_train]], bag_ids=tuple(s.bag_id for s in train)
+    )
     errors = []
     for eta in etas:
         fitted, _ = fit_rmde(
@@ -674,11 +693,61 @@ def rmde_cross_validate(
             total += float(scores.min())
         errors.append(total)
     best_eta = float(etas[int(np.argmin(errors))])
-    hat_all, _ = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
     final, _ = fit_rmde(
-        stats_list, spec, grid, best_eta, cfg, newton, engine=eng, init=hat_all
+        stats_list, spec, grid, best_eta, cfg, newton, engine=eng, init=lambda_hat
     )
     return best_eta, final
+
+
+def fit_joint(
+    name: str,
+    stats_list: list[SufficientStats],
+    spec,
+    grid,
+    engine: BasisGrid,
+    cmena: CmenaConfig,
+    newton: NewtonConfig,
+    *,
+    eta: float = 1.0,
+    etas: tuple[float, ...] | list[float] = DEFAULT_CV_ETAS,
+    split_seed: int = 0,
+) -> tuple[LambdaMatrix, FitReport]:
+    """Run the joint solver `name` (one of JOINT_SOLVERS) on the bags.
+
+    Fits the column-wise ML matrix once with fit_columns_relaxed and hands
+    it to the solver as its anchor or start; "mde" returns it as is. eta is
+    the fixed penalty of "rmde", etas and split_seed drive "rmde-cv". The
+    relaxation notes of the column fits are appended to the report's
+    warnings.
+    """
+    if name not in JOINT_SOLVERS:
+        raise ValueError(f"solver must be one of {JOINT_SOLVERS}, got {name!r}")
+    start = time.perf_counter()
+    hat, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=engine)
+    if name == "mde":
+        matrix, report = hat, FitReport(solver="mde")
+    elif name == "rmde":
+        matrix, report = fit_rmde(
+            stats_list, spec, grid, eta, cmena, newton, engine=engine, init=hat
+        )
+    elif name == "rmde-continuation":
+        matrix, report = rmde_continuation(
+            stats_list, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
+        )
+    elif name == "rmde-cv":
+        best_eta, matrix = rmde_cross_validate(
+            stats_list, spec, grid, list(etas), split_seed, cmena, newton,
+            engine=engine, lambda_hat=hat,
+        )
+        report = FitReport(solver="rmde-cv", etas=[best_eta])
+    else:
+        matrix, report = fit_cmen(
+            stats_list, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
+        )
+    if name in ("mde", "rmde-cv"):  # the other solvers time themselves
+        report.wall_time = time.perf_counter() - start
+    report.warnings.extend(notes)
+    return matrix, report
 
 
 @dataclass(frozen=True)

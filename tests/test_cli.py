@@ -108,6 +108,25 @@ class TestFitCommand:
         np.testing.assert_allclose(file_matrix, sol.data, atol=1e-12)
 
 
+    def test_rmde_cv_fits_each_bag_once(self, bag_file, tmp_path, monkeypatch):
+        import maxentmil.maxent as maxent
+
+        path, ds = bag_file
+        fitted = []
+        original = maxent.fit_sde
+
+        def counting(stats, *args, **kwargs):
+            fitted.append(stats.bag_id)
+            return original(stats, *args, **kwargs)
+
+        monkeypatch.setattr(maxent, "fit_sde", counting)
+        assert main([
+            "fit", str(path), "--out", str(tmp_path / "o"), "--solver", "rmde-cv",
+            "--m", "8",
+        ]) == 0
+        assert sorted(fitted) == sorted(ds.bag_ids)
+
+
 class TestKlMatrixCommand:
     def test_diagonal_zero(self, bag_file, tmp_path):
         path, _ = bag_file

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from maxentmil.lowrank import (
     SvdFactors,
-    _ladder_sizes,
     nuclear_norm,
     numeric_rank,
     rank_ladder_svd,
@@ -153,17 +152,13 @@ class TestRankLadder:
     def test_two_rounds_for_seven_above(self, rng):
         values = [10, 9, 8, 7, 6, 5, 4, 0.5, 0.4, 0.3, 0.2, 0.1]
         x = spectrum_matrix(values, rng)
-        s = np.linalg.svd(x, compute_uv=False)
-        sizes = _ladder_sizes(s, cut=1.0, start=5, step=5)
-        assert sizes == [5, 10]
         f = rank_ladder_svd(x, cut=1.0)
         assert f.rank == 7
 
     def test_single_round_when_first_batch_crosses(self, rng):
         values = [5, 4, 3, 0.2, 0.1, 0.05]
         x = spectrum_matrix(values, rng, m=8, n=7)
-        s = np.linalg.svd(x, compute_uv=False)
-        assert _ladder_sizes(s, cut=1.0, start=5, step=5) == [5]
+        assert rank_ladder_svd(x, cut=1.0).rank == 3
 
     def test_equals_filtered_full_svd(self, rng):
         for _ in range(20):

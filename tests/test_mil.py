@@ -18,6 +18,7 @@ from maxentmil.mil import (
     pca_apply,
     pca_apply_instances,
     pca_fit,
+    evaluate_split,
     stratified_folds,
 )
 
@@ -284,6 +285,20 @@ class TestKfold:
         a = kfold_evaluate(ds, folds=4, cfg=cfg, seed=1)
         b = kfold_evaluate(scaled, folds=4, cfg=cfg, seed=1)
         assert a.predictions == b.predictions
+
+    def test_library_newton_tolerance_fits_stalled_bag(self):
+        # At grad_tol 1e-8, bag b013 of this split stalls at a gradient of
+        # about 2e-6; the third relaxation rung (1e-5) every column fitter
+        # shares lets the split finish instead of raising.
+        from maxentmil.maxent import NewtonConfig
+
+        ds, _ = synth_two_class_bags(40, 500, 16, seed=2)
+        test_idx = stratified_folds(ds, 10, seed=2)[0]
+        train = ds.subset([i for i in range(len(ds.bags)) if i not in set(test_idx)])
+        test = ds.subset(test_idx)
+        cfg = PipelineConfig(distance="kl-mde", newton=NewtonConfig())
+        records = evaluate_split(train, test, cfg)
+        assert [r["bag_id"] for r in records] == list(test.bag_ids)
 
     @pytest.mark.slow
     def test_two_class_fixture_high_accuracy(self):

@@ -448,10 +448,8 @@ class TestContinuation:
 
     @staticmethod
     def desk_instance(seed):
-        from maxentmil.experiments import (
-            _fit_matrix_relaxed,
-            synth_box_grid,
-        )
+        from maxentmil.experiments import synth_box_grid
+        from maxentmil.solvers import fit_columns_relaxed
 
         newton = NewtonConfig(grad_tol=1e-5)
         truth = synth_lowrank_lambda(30, 10, 2, seed=derive_seed(seed, "t"))
@@ -467,7 +465,7 @@ class TestContinuation:
             )
             for i, d in enumerate(densities)
         ]
-        hat, _ = _fit_matrix_relaxed(stats, spec, grid, newton, engine)
+        hat, _ = fit_columns_relaxed(stats, spec, grid, newton, engine=engine)
         _, report = rmde_continuation(
             stats, spec, grid, newton=newton, engine=engine, lambda_hat=hat
         )
