@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +45,6 @@ from .experiments import (
 )
 from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, fit_joint
 
-_CONFIG_KEYS = {
-    "fit": {"seed", "m", "solver", "eta", "etas", "a", "margin", "grid_points",
-            "mc_nodes", "cv_split_seed", "newton", "cmena"},
-    "phase-diagram": {"seed", "n_bags", "m_values", "t_values", "n_per_bag",
-                      "reps", "solver", "d", "domain_halfwidth", "grid_points",
-                      "threads", "newton", "cmena"},
-    "kl-matrix": set(),
-    "classify": {"seed", "distance", "m", "pca_dims", "k", "k_prime", "margin",
-                 "grid_points", "mc_nodes", "newton", "cmena"},
-    "bound-check": {"seed", "n_bags", "m", "n_per_bag", "trials", "a_values",
-                    "grid_points"},
-    "synth": {"seed", "mode", "m", "n_bags", "t", "n_per_bag", "d",
-              "separation", "within", "grid_points"},
-    "bench": {"n_linear", "n_quadratic", "m", "repeats", "seed"},
-}
-
-_NEWTON_KEYS = {"max_iters", "grad_tol", "armijo_c", "backtrack_rho", "hessian_ridge"}
-_CMENA_KEYS = {"a", "max_outer", "max_inner", "obj_tol", "cons_tol", "ls_alpha",
-               "tau_floor", "z_lo", "z_hi_init"}
-
 
 def _check_keys(rec: dict, allowed: set, context: str):
     unknown = sorted(set(rec) - allowed)
@@ -72,37 +52,28 @@ def _check_keys(rec: dict, allowed: set, context: str):
         raise ValueError(f"unknown config keys in {context}: {', '.join(unknown)}")
 
 
-def _load_config(path, command: str) -> dict:
-    if path is None:
-        return {}
-    rec = json.loads(Path(path).read_text())
-    if not isinstance(rec, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    _check_keys(rec, _CONFIG_KEYS[command], f"{path} ({command})")
-    if "newton" in rec:
-        _check_keys(rec["newton"], _NEWTON_KEYS, f"{path} (newton)")
-    if "cmena" in rec:
-        _check_keys(rec["cmena"], _CMENA_KEYS, f"{path} (cmena)")
-    return rec
-
-
-def _merge(config: dict, flags: dict, defaults: dict) -> dict:
-    """Precedence: explicit flag > config file > default."""
-    out = dict(defaults)
-    out.update({k: v for k, v in config.items() if k in defaults})
-    out.update({k: v for k, v in flags.items() if v is not None})
-    return out
-
-
-def _newton_from(config: dict) -> NewtonConfig:
-    return NewtonConfig(**config.get("newton", {}))
-
-
-def _cmena_from(config: dict, a=None) -> CmenaConfig:
-    rec = dict(config.get("cmena", {}))
-    if a is not None:
-        rec["a"] = a
-    return CmenaConfig(**rec)
+def _params(args, defaults: dict, solver_blocks: bool = False) -> dict:
+    """A command's resolved parameters. Precedence: the flag named like a
+    default > the --config file > the default. The config file may hold
+    exactly the default keys, plus (with solver_blocks) a "newton" and a
+    "cmena" block of NewtonConfig / CmenaConfig fields, passed through as
+    given. A flag left out, or a list flag given as "", is not given."""
+    blocks = {"newton": NewtonConfig, "cmena": CmenaConfig} if solver_blocks else {}
+    config = {}
+    if args.config is not None:
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        _check_keys(config, {*defaults, *blocks}, f"{args.config} ({args.command})")
+        for name, cls in blocks.items():
+            if name in config:
+                allowed = {f.name for f in fields(cls)}
+                _check_keys(config[name], allowed, f"{args.config} ({name})")
+    flags = {
+        k: v for k, v in vars(args).items()
+        if k in defaults and v is not None and v != []
+    }
+    return {**defaults, **{name: {} for name in blocks}, **config, **flags}
 
 
 def _prepare_out(out_dir, command: str, resolved: dict) -> Path:
@@ -116,11 +87,11 @@ def _prepare_out(out_dir, command: str, resolved: dict) -> Path:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return [int(v) for v in text.split(",") if v != ""]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return [float(v) for v in text.split(",") if v != ""]
 
 
 def _default_threads() -> int:
@@ -131,39 +102,19 @@ def _default_threads() -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config, "fit")
-    params = _merge(
-        config,
-        {
-            "seed": args.seed,
-            "m": args.m,
-            "solver": args.solver,
-            "eta": args.eta,
-            "a": args.a,
-            "margin": args.margin,
-            "grid_points": args.grid_points,
-        },
-        {
-            "seed": 0,
-            "m": 20,
-            "solver": "cmen",
-            "eta": 1.0,
-            "etas": list(DEFAULT_CV_ETAS),
-            "a": 1.0,
-            "margin": 0.1,
-            "grid_points": 64,
-            "mc_nodes": 20_000,
-            "cv_split_seed": 0,
-        },
-    )
+    params = _params(args, {
+        "seed": 0, "m": 20, "solver": "cmen", "eta": 1.0, "etas": list(DEFAULT_CV_ETAS),
+        "a": None, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000, "cv_split_seed": 0,
+    }, solver_blocks=True)
     if params["solver"] not in JOINT_SOLVERS:
         raise ValueError(f"solver must be one of {JOINT_SOLVERS}")
-    params["newton"] = config.get("newton", {})
-    params["cmena"] = config.get("cmena", {})
+    # --a > config "a" > config "cmena.a" > CmenaConfig's default
+    if params["a"] is None:
+        params["a"] = params["cmena"].get("a", CmenaConfig.a)
     dataset = read_bags(args.dataset)
     out = _prepare_out(args.out, "fit", params)
-    newton = _newton_from(config)
-    cmena = _cmena_from(config, a=params["a"])
+    newton = NewtonConfig(**params["newton"])
+    cmena = CmenaConfig(**{**params["cmena"], "a": params["a"]})
     spec = make_basis(dataset.d, params["m"], params["seed"])
     domain = domain_from_data(dataset.pooled_instances(), params["margin"])
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
@@ -185,6 +136,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_kl_matrix(args) -> int:
+    if args.gamma is not None and args.gamma <= 0:
+        raise ValueError("gamma must be positive")
     spec, _domain, _grid, densities, _ns, _raw = load_model(args.model)
     out = _prepare_out(
         args.out, "kl-matrix", {"model": str(args.model), "gamma": args.gamma}
@@ -193,40 +146,15 @@ def cmd_kl_matrix(args) -> int:
     ids = [d.bag_id for d in densities]
     write_matrix_csv(matrix, ids, out / "kl_matrix.csv")
     if args.gamma is not None:
-        if args.gamma <= 0:
-            raise ValueError("gamma must be positive")
         write_matrix_csv(np.exp(-args.gamma * matrix), ids, out / "kernel_matrix.csv")
     return 0
 
 
 def cmd_classify(args) -> int:
-    config = _load_config(args.config, "classify")
-    params = _merge(
-        config,
-        {
-            "seed": args.seed,
-            "distance": args.distance,
-            "m": args.m,
-            "pca_dims": args.pca_dims,
-            "k": args.k,
-            "k_prime": args.k_prime,
-            "margin": args.margin,
-            "grid_points": args.grid_points,
-        },
-        {
-            "seed": 0,
-            "distance": "kl-cmen",
-            "m": 16,
-            "pca_dims": None,
-            "k": 5,
-            "k_prime": 5,
-            "margin": 0.1,
-            "grid_points": 64,
-            "mc_nodes": 20_000,
-        },
-    )
-    params["newton"] = config.get("newton", {})
-    params["cmena"] = config.get("cmena", {})
+    params = _params(args, {
+        "seed": 0, "distance": "kl-cmen", "m": 16, "pca_dims": None, "k": 5,
+        "k_prime": 5, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
+    }, solver_blocks=True)
     train = read_bags(args.train)
     test = read_bags(args.test)
     out = _prepare_out(args.out, "classify", params)
@@ -239,8 +167,8 @@ def cmd_classify(args) -> int:
         grid_points=params["grid_points"],
         mc_nodes=params["mc_nodes"],
         knn=CitationKnnConfig(k=params["k"], k_prime=params["k_prime"]),
-        cmena=_cmena_from(config),
-        newton=_newton_from(config),
+        cmena=CmenaConfig(**params["cmena"]),
+        newton=NewtonConfig(**params["newton"]),
     )
     records = evaluate_split(train, test, pipe)
     write_predictions_jsonl(records, out / "predictions.jsonl")
@@ -291,39 +219,15 @@ def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[
 
 
 def cmd_phase_diagram(args) -> int:
-    config = _load_config(args.config, "phase-diagram")
-    params = _merge(
-        config,
-        {
-            "seed": args.seed,
-            "n_bags": args.n_bags,
-            "m_values": _int_list(args.m_values) if args.m_values else None,
-            "t_values": _int_list(args.t_values) if args.t_values else None,
-            "n_per_bag": args.n_per_bag,
-            "reps": args.reps,
-            "solver": args.solver,
-            "threads": args.threads,
-        },
-        {
-            "seed": 0,
-            "n_bags": 20,
-            "m_values": [20, 30, 40],
-            "t_values": [2, 5, 10],
-            "n_per_bag": 1000,
-            "reps": 10,
-            "solver": "cmen",
-            "threads": _default_threads(),
-            "d": 2,
-            "domain_halfwidth": 3.0,
-            "grid_points": 64,
-        },
-    )
+    params = _params(args, {
+        "seed": 0, "n_bags": 20, "m_values": [20, 30, 40], "t_values": [2, 5, 10],
+        "n_per_bag": 1000, "reps": 10, "solver": "cmen", "threads": _default_threads(),
+        "d": 2, "domain_halfwidth": 3.0, "grid_points": 64,
+    }, solver_blocks=True)
     if params["solver"] == "both":
         solvers = ["cmen", "rmde-continuation"]
     else:
         solvers = [params["solver"]]
-    params["newton"] = config.get("newton", {})
-    params["cmena"] = config.get("cmena", {})
     out = _prepare_out(args.out, "phase-diagram", params)
     pd = PhaseDiagramSpec(
         n_bags=params["n_bags"],
@@ -337,8 +241,8 @@ def cmd_phase_diagram(args) -> int:
         d=params["d"],
         domain_halfwidth=params["domain_halfwidth"],
         grid_points=params["grid_points"],
-        cmena=_cmena_from(config),
-        newton=_newton_from(config),
+        cmena=CmenaConfig(**params["cmena"]),
+        newton=NewtonConfig(**params["newton"]),
     )
     warned = False
     for solver in solvers:
@@ -348,27 +252,10 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_bound_check(args) -> int:
-    config = _load_config(args.config, "bound-check")
-    params = _merge(
-        config,
-        {
-            "seed": args.seed,
-            "n_bags": args.n_bags,
-            "m": args.m,
-            "n_per_bag": args.n_per_bag,
-            "trials": args.trials,
-            "a_values": _float_list(args.a_values) if args.a_values else None,
-        },
-        {
-            "seed": 0,
-            "n_bags": 5,
-            "m": 10,
-            "n_per_bag": 200,
-            "trials": 200,
-            "a_values": [2.0, 5.0],
-            "grid_points": 64,
-        },
-    )
+    params = _params(args, {
+        "seed": 0, "n_bags": 5, "m": 10, "n_per_bag": 200, "trials": 200,
+        "a_values": [2.0, 5.0], "grid_points": 64,
+    })
     out = _prepare_out(args.out, "bound-check", params)
     fractions, sums = markov_bound_trial(
         params["n_bags"], params["m"], params["n_per_bag"], params["trials"],
@@ -395,31 +282,10 @@ def cmd_bound_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config, "synth")
-    params = _merge(
-        config,
-        {
-            "seed": args.seed,
-            "mode": args.mode,
-            "m": args.m,
-            "n_bags": args.n_bags,
-            "t": args.t,
-            "n_per_bag": args.n_per_bag,
-            "d": args.d,
-        },
-        {
-            "seed": 0,
-            "mode": "lowrank",
-            "m": 20,
-            "n_bags": 20,
-            "t": 2,
-            "n_per_bag": 1000,
-            "d": 2,
-            "separation": 1.5,
-            "within": 0.2,
-            "grid_points": 64,
-        },
-    )
+    params = _params(args, {
+        "seed": 0, "mode": "lowrank", "m": 20, "n_bags": 20, "t": 2, "n_per_bag": 1000,
+        "d": 2, "separation": 1.5, "within": 0.2, "grid_points": 64,
+    })
     out = _prepare_out(args.out, "synth", params)
     if params["mode"] == "two-class":
         dataset, truth = synth_two_class_bags(
@@ -453,18 +319,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config, "bench")
-    params = _merge(
-        config,
-        {"seed": args.seed},
-        {
-            "seed": 0,
-            "n_linear": [20_000, 40_000],
-            "n_quadratic": [600, 1_200],
-            "m": 20,
-            "repeats": 5,
-        },
-    )
+    params = _params(args, {
+        "seed": 0, "n_linear": [20_000, 40_000], "n_quadratic": [600, 1_200],
+        "m": 20, "repeats": 5,
+    })
     out = _prepare_out(args.out, "bench", params)
     rows = runtime_benchmark(
         n_linear=tuple(params["n_linear"]),
@@ -508,8 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--solver", choices=(*PHASE_SOLVERS, "both"))
     p.add_argument("--n-bags", type=int, dest="n_bags")
-    p.add_argument("--m-values", dest="m_values", help="comma list, e.g. 20,30,40")
-    p.add_argument("--t-values", dest="t_values", help="comma list, e.g. 2,5,10")
+    p.add_argument(
+        "--m-values", type=_int_list, dest="m_values", help="comma list, e.g. 20,30,40"
+    )
+    p.add_argument(
+        "--t-values", type=_int_list, dest="t_values", help="comma list, e.g. 2,5,10"
+    )
     p.add_argument("--n-per-bag", type=int, dest="n_per_bag")
     p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int)
@@ -547,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--n-per-bag", type=int, dest="n_per_bag")
     p.add_argument("--trials", type=int)
-    p.add_argument("--a-values", dest="a_values", help="comma list, e.g. 2,5")
+    p.add_argument(
+        "--a-values", type=_float_list, dest="a_values", help="comma list, e.g. 2,5"
+    )
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=cmd_bound_check)
 

@@ -229,9 +229,16 @@ def kde_sym_kl(kde_a: KdeModel, kde_b: KdeModel, grid) -> float:
     """Symmetric KL between two kernel densities by quadrature: both are
     normalized on the shared grid, then the discrete symmetric divergence
     is summed. No closed form exists for KDE pairs."""
+    la, lb = _kde_grid_log_probs([kde_a, kde_b], grid)
+    return _discrete_sym_kl(la, lb)
+
+
+def _kde_grid_log_probs(kdes: list[KdeModel], grid) -> list[np.ndarray]:
     logw = np.log(grid.weights)
-    la = _grid_log_probs(kde_a.log_pdf(grid.nodes), logw)
-    lb = _grid_log_probs(kde_b.log_pdf(grid.nodes), logw)
+    return [_grid_log_probs(k.log_pdf(grid.nodes), logw) for k in kdes]
+
+
+def _discrete_sym_kl(la: np.ndarray, lb: np.ndarray) -> float:
     return float(((np.exp(la) - np.exp(lb)) * (la - lb)).sum())
 
 
@@ -244,16 +251,13 @@ def sym_kl_matrix(densities: list[MEDensity]) -> np.ndarray:
     return out
 
 
-def _kde_matrix(kdes: list[KdeModel], grid) -> np.ndarray:
-    logw = np.log(grid.weights)
-    logp = [_grid_log_probs(k.log_pdf(grid.nodes), logw) for k in kdes]
-    n = len(kdes)
+def _kde_matrix(logp: list[np.ndarray]) -> np.ndarray:
+    """Pairwise symmetric KL from each KDE's normalized grid log-probabilities."""
+    n = len(logp)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = float(
-                ((np.exp(logp[i]) - np.exp(logp[j])) * (logp[i] - logp[j])).sum()
-            )
+            out[i, j] = out[j, i] = _discrete_sym_kl(logp[i], logp[j])
     return out
 
 
@@ -277,7 +281,7 @@ def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
     if kind == "kl-kde":
         if grid is None or not all(isinstance(x, KdeModel) for x in items):
             raise ValueError("kind 'kl-kde' expects KdeModel items and a grid")
-        return _kde_matrix(list(items), grid)
+        return _kde_matrix(_kde_grid_log_probs(list(items), grid))
     if kind == "hausdorff":
         arrays = [np.asarray(x, dtype=float) for x in items]
         if any(a.ndim != 2 for a in arrays):
@@ -417,11 +421,12 @@ def evaluate_split(
             for tb in test.bags
         ]
     elif cfg.distance == "kl-kde":
-        kdes = [kde_fit(b.instances) for b in train.bags]
-        d_train = distance_matrix(kdes, "kl-kde", grid=grid)
+        # each bag's KDE is evaluated on the grid once, train and test alike
+        train_logp = _kde_grid_log_probs([kde_fit(b.instances) for b in train.bags], grid)
+        test_logp = _kde_grid_log_probs([kde_fit(b.instances) for b in test.bags], grid)
+        d_train = _kde_matrix(train_logp)
         d_queries = [
-            np.array([kde_sym_kl(kde_fit(tb.instances), k, grid) for k in kdes])
-            for tb in test.bags
+            np.array([_discrete_sym_kl(q, lp) for lp in train_logp]) for q in test_logp
         ]
     else:
         spec = make_basis(train.d, cfg.m, cfg.basis_seed)

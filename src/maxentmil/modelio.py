@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,10 @@ def read_bags_jsonl(path) -> LabeledBagDataset:
                 raise ValueError(
                     f"{path}: line {lineno}: bag {bag_id!r} has no instances"
                 )
+            if not np.isfinite(instances).all():
+                raise ValueError(
+                    f"{path}: line {lineno}: bag {bag_id!r} has a non-finite instance"
+                )
             bags.append(
                 Bag(bag_id=str(bag_id), label=rec.get("label"), instances=instances)
             )
@@ -99,6 +104,10 @@ def read_bags_csv(path) -> LabeledBagDataset:
                 values = [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(
+                    f"{path}: line {lineno}: bag {bag_id!r} has a non-finite instance"
+                )
             entry = by_bag.setdefault(bag_id, {"label": label, "rows": []})
             if entry["label"] != label:
                 raise ValueError(

@@ -1,10 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxentmil.cli import main
+import maxentmil.cli as cli
+from maxentmil.cli import build_parser, main
 from maxentmil.experiments import synth_two_class_bags
 from maxentmil.mil import (
     CitationKnnConfig,
@@ -21,6 +23,17 @@ def bag_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "bags.jsonl"
     write_bags_jsonl(ds, path)
     return path, ds
+
+
+class _Stop(Exception):
+    """Raised by a stub to end a command once it has what the test needs."""
+
+
+def _stop_with(seen: dict, key):
+    def stub(*args, **kwargs):
+        seen[key] = (args, kwargs)
+        raise _Stop
+    return stub
 
 
 def strip_timing(rec):
@@ -108,6 +121,35 @@ class TestFitCommand:
         np.testing.assert_allclose(file_matrix, sol.data, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "config, flags, expected",
+        [
+            ({}, [], 1.0),
+            ({"cmena": {"a": 50}}, [], 50),
+            ({"a": 7, "cmena": {"a": 50}}, [], 7),
+            ({"a": 7, "cmena": {"a": 50}}, ["--a", "3"], 3.0),
+        ],
+    )
+    def test_confidence_multiplier_precedence(
+        self, bag_file, tmp_path, monkeypatch, config, flags, expected
+    ):
+        # --a > config "a" > config "cmena.a" > 1.0, and the resolved config
+        # records the value the solver received.
+        path, _ = bag_file
+        seen = {}
+        monkeypatch.setattr(cli, "fit_joint", _stop_with(seen, "fit_joint"))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        main([
+            "fit", str(path), "--out", str(out), "--solver", "cmen", "--m", "8",
+            "--config", str(cfgfile), *flags,
+        ])
+        args, _ = seen["fit_joint"]
+        assert args[5].a == expected
+        resolved = json.loads((out / "resolved_config.json").read_text())["params"]
+        assert resolved["a"] == expected
+
     def test_rmde_cv_fits_each_bag_once(self, bag_file, tmp_path, monkeypatch):
         import maxentmil.maxent as maxent
 
@@ -152,6 +194,17 @@ class TestKlMatrixCommand:
         kern, _ = read_matrix_csv(out / "kernel_matrix.csv")
         np.testing.assert_allclose(kern, np.exp(-0.5 * dist), atol=1e-12)
         np.testing.assert_allclose(np.diag(kern), 1.0)
+
+
+    def test_nonpositive_gamma_writes_nothing(self, bag_file, tmp_path, capsys):
+        path, _ = bag_file
+        run = tmp_path / "fit"
+        assert main(["fit", str(path), "--out", str(run), "--solver", "mde", "--m", "8"]) == 0
+        out = tmp_path / "kl"
+        code = main(["kl-matrix", str(run / "model.json"), "--out", str(out), "--gamma", "0"])
+        assert code == 1
+        assert "gamma must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClassifyCommand:
@@ -218,6 +271,34 @@ class TestPhaseDiagramCommand:
         assert rows[0]["recovery_probability"] == 0.75  # planted cell survived
 
 
+    def test_flag_over_config_over_default(self, tmp_path, monkeypatch):
+        from maxentmil.maxent import NewtonConfig
+        from maxentmil.solvers import CmenaConfig
+
+        seen = {}
+        monkeypatch.setattr(cli, "run_phase_diagram", _stop_with(seen, "spec"))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "m_values": [8], "t_values": [3], "reps": 4, "newton": {"grad_tol": 1e-5},
+        }))
+        out = tmp_path / "phase"
+        main([
+            "phase-diagram", "--out", str(out), "--config", str(cfgfile),
+            "--m-values", "12,16", "--t-values", "", "--solver", "cmen",
+        ])
+        resolved = json.loads((out / "resolved_config.json").read_text())["params"]
+        assert resolved["m_values"] == [12, 16]  # flag over config
+        assert resolved["t_values"] == [3]  # an empty list flag is not given
+        assert resolved["reps"] == 4  # config over default
+        assert resolved["n_bags"] == 20  # default
+        assert resolved["newton"] == {"grad_tol": 1e-5}
+        assert resolved["cmena"] == {}
+        (pd,), _ = seen["spec"]
+        assert (pd.m_values, pd.t_values, pd.reps, pd.n_bags) == ((12, 16), (3,), 4, 20)
+        assert pd.newton == NewtonConfig(grad_tol=1e-5)
+        assert pd.cmena == CmenaConfig()
+
+
 class TestBoundCheckCommand:
     def test_table_written(self, tmp_path):
         out = tmp_path / "bound"
@@ -266,6 +347,34 @@ class TestBenchCommand:
         assert main(["bench", "--out", str(out), "--config", str(cfg)]) == 0
         rows = json.loads((out / "bench.json").read_text())
         assert {r["op"] for r in rows} == {"suff_stats", "kl_matrix", "avg_hausdorff"}
+
+
+def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
+    # An option that is not among its command's resolved parameters would
+    # be parsed and then silently ignored.
+    path, _ = bag_file
+    run = tmp_path / "fit"
+    assert main(["fit", str(path), "--out", str(run), "--solver", "mde", "--m", "8"]) == 0
+    positionals = {
+        "fit": [str(path)],
+        "classify": [str(path), str(path)],
+        "kl-matrix": [str(run / "model.json")],
+    }
+    seen = {}
+    monkeypatch.setattr(cli, "_prepare_out", _stop_with(seen, "resolved"))
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, parser in sub.choices.items():
+        options = {
+            a.dest for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "out", "config")
+        }
+        seen.clear()
+        main([command, *positionals.get(command, []), "--out", str(tmp_path / "o")])
+        (_, resolved_command, params), _ = seen["resolved"]
+        assert resolved_command == command
+        assert options <= set(params), (command, sorted(options - set(params)))
 
 
 def test_version_flag(capsys):

@@ -300,6 +300,42 @@ class TestKfold:
         records = evaluate_split(train, test, cfg)
         assert [r["bag_id"] for r in records] == list(test.bag_ids)
 
+    def test_kl_kde_split_evaluates_each_kde_once(self, rng, monkeypatch):
+        from maxentmil.basis import domain_from_data, make_auto_grid
+        from maxentmil.mil import KdeModel
+
+        ds = tiny_dataset(rng, n_a=4, n_b=4, n_inst=30)
+        train, test = ds.subset([0, 1, 2, 4, 5, 6]), ds.subset([3, 7])
+        cfg = PipelineConfig(
+            distance="kl-kde", standardize=False, grid_points=24,
+            knn=CitationKnnConfig(k=3, k_prime=2),
+        )
+        calls = []
+        original = KdeModel.log_pdf
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(KdeModel, "log_pdf", counting)
+        records = evaluate_split(train, test, cfg)
+        assert len(calls) == len(train.bags) + len(test.bags)
+
+        grid = make_auto_grid(
+            domain_from_data(train.pooled_instances(), cfg.margin),
+            cfg.grid_points, cfg.mc_nodes, cfg.basis_seed,
+        )
+        kdes = [kde_fit(b.instances) for b in train.bags]
+        d_train = distance_matrix(kdes, "kl-kde", grid=grid)
+        expected = []
+        for tb in test.bags:
+            d_query = np.array([kde_sym_kl(kde_fit(tb.instances), k, grid) for k in kdes])
+            pred = citation_knn_precomputed(
+                d_train, d_query, list(train.labels), list(train.bag_ids), cfg.knn
+            )
+            expected.append({"bag_id": tb.bag_id, "true": tb.label, "predicted": pred})
+        assert records == expected
+
     @pytest.mark.slow
     def test_two_class_fixture_high_accuracy(self):
         ds, _ = synth_two_class_bags(40, 500, 16, seed=0)

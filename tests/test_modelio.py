@@ -67,6 +67,27 @@ class TestBagFiles:
         assert ds.bags[0].instances.shape == (2, 2)
         assert ds.labels == ("pos", "neg")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_jsonl_non_finite_instance_names_file_line_and_bag(self, tmp_path, literal):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"bag_id": "ok", "instances": [[1, 2]]}\n'
+            f'{{"bag_id": "spoiled", "instances": [[0.5, {literal}]]}}\n'
+        )
+        with pytest.raises(ValueError, match=r"nan\.jsonl: line 2: bag 'spoiled'"):
+            read_bags_jsonl(path)
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_instance_names_file_line_and_bag(self, tmp_path, literal):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "bag_id,label,x1,x2\n"
+            "b1,pos,0.0,1.0\n"
+            f"b2,neg,{literal},0.0\n"
+        )
+        with pytest.raises(ValueError, match=r"nan\.csv: line 3: bag 'b2'"):
+            read_bags_csv(path)
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("idcol,x1\n1,2\n")
