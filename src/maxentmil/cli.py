@@ -2,9 +2,10 @@
 
 Subcommands: fit, phase-diagram, kl-matrix, classify, bound-check, synth,
 bench. Each run takes an optional JSON config file plus flag overrides
-(flags win), writes its outputs plus a resolved-config copy into --out, and
-exits 0 on success, 2 when a solver finished with warnings, 1 on any error.
-Unknown config keys are rejected. MAXENTMIL_THREADS mirrors --threads.
+(flags win), checks them, writes its outputs plus a resolved-config copy into
+--out, and exits 0 on success, 2 when a solver finished with warnings, 1 on
+any error, usage errors included. Unknown config keys are rejected.
+MAXENTMIL_THREADS mirrors --threads.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ def cmd_fit(args) -> int:
     if params["a"] is None:
         params["a"] = params["cmena"].get("a", CmenaConfig.a)
     dataset = read_bags(args.dataset)
-    out = _prepare_out(args.out, "fit", params)
     newton = NewtonConfig(**params["newton"])
     cmena = CmenaConfig(**{**params["cmena"], "a": params["a"]})
     spec = make_basis(dataset.d, params["m"], params["seed"])
     domain = domain_from_data(dataset.pooled_instances(), params["margin"])
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
+    out = _prepare_out(args.out, "fit", params)
     engine = BasisGrid(spec, grid)
     stats = [suff_stats(b.instances, spec, b.bag_id) for b in dataset.bags]
     name = params["solver"]
@@ -157,7 +158,6 @@ def cmd_classify(args) -> int:
     }, solver_blocks=True)
     train = read_bags(args.train)
     test = read_bags(args.test)
-    out = _prepare_out(args.out, "classify", params)
     pipe = PipelineConfig(
         distance=params["distance"],
         m=params["m"],
@@ -170,6 +170,7 @@ def cmd_classify(args) -> int:
         cmena=CmenaConfig(**params["cmena"]),
         newton=NewtonConfig(**params["newton"]),
     )
+    out = _prepare_out(args.out, "classify", params)
     records = evaluate_split(train, test, pipe)
     write_predictions_jsonl(records, out / "predictions.jsonl")
     labeled = [r for r in records if r["true"] is not None]
@@ -228,7 +229,6 @@ def cmd_phase_diagram(args) -> int:
         solvers = ["cmen", "rmde-continuation"]
     else:
         solvers = [params["solver"]]
-    out = _prepare_out(args.out, "phase-diagram", params)
     pd = PhaseDiagramSpec(
         n_bags=params["n_bags"],
         m_values=tuple(params["m_values"]),
@@ -244,6 +244,7 @@ def cmd_phase_diagram(args) -> int:
         cmena=CmenaConfig(**params["cmena"]),
         newton=NewtonConfig(**params["newton"]),
     )
+    out = _prepare_out(args.out, "phase-diagram", params)
     warned = False
     for solver in solvers:
         rows = _run_phase_for_solver(pd, out, solver)
@@ -286,6 +287,8 @@ def cmd_synth(args) -> int:
         "seed": 0, "mode": "lowrank", "m": 20, "n_bags": 20, "t": 2, "n_per_bag": 1000,
         "d": 2, "separation": 1.5, "within": 0.2, "grid_points": 64,
     })
+    if params["mode"] not in ("lowrank", "two-class"):
+        raise ValueError("mode must be 'lowrank' or 'two-class'")
     out = _prepare_out(args.out, "synth", params)
     if params["mode"] == "two-class":
         dataset, truth = synth_two_class_bags(
@@ -293,7 +296,7 @@ def cmd_synth(args) -> int:
             d=params["d"], separation=params["separation"], within=params["within"],
             grid_points=params["grid_points"],
         )
-    elif params["mode"] == "lowrank":
+    else:
         matrix = synth_lowrank_lambda(
             params["m"], params["n_bags"], params["t"], params["seed"]
         )
@@ -311,8 +314,6 @@ def cmd_synth(args) -> int:
                 for i, bid in enumerate(matrix.bag_ids)
             },
         }
-    else:
-        raise ValueError("mode must be 'lowrank' or 'two-class'")
     write_bags_jsonl(dataset, out / "dataset.jsonl")
     write_json(out / "truth.json", truth)
     return 0
@@ -437,7 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version and 2 on a usage
+        # error; 2 means "finished with warnings" here, so usage errors exit 1.
+        if not exc.code:
+            raise
+        return 1
     try:
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

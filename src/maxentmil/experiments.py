@@ -29,7 +29,6 @@ from .maxent import (
     suff_stats,
 )
 from .solvers import (
-    DEFAULT_CV_ETAS,
     CmenaConfig,
     LambdaMatrix,
     epsilon_bound,
@@ -156,7 +155,6 @@ class PhaseDiagramSpec:
     d: int = 2
     domain_halfwidth: float = 3.0
     grid_points: int = 64
-    cv_etas: tuple[float, ...] = DEFAULT_CV_ETAS
     cmena: CmenaConfig = field(default_factory=CmenaConfig)
     # Desk-scale fits plateau above the library default gradient tolerance
     # on ill-conditioned bags; 1e-6 still pins moments to ~1e-9.
@@ -214,7 +212,6 @@ def _phase_rep(args) -> tuple[int, int, int, int, tuple[str, ...]]:
         )
         sol, rep_report = fit_joint(
             pd.solver, stats, spec, grid, engine, pd.cmena, pd.newton,
-            etas=pd.cv_etas,
             split_seed=derive_seed(pd.base_seed, m, t, rep, "cv-split"),
         )
         warnings.extend(rep_report.warnings)

@@ -75,20 +75,23 @@ class MEDensity:
 # relaxed fit in the package tries grad_tol * 10**k for k = 0..MAX_RELAX.
 MAX_RELAX = 3
 
+# Damped-Newton step control: the ridge added to the Hessian, the Armijo
+# sufficient-decrease constant and the backtracking factor.
+HESSIAN_RIDGE = 1e-8
+ARMIJO_C = 1e-4
+BACKTRACK_RHO = 0.5
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
+    """Iteration budget and gradient inf-norm tolerance of fit_sde."""
+
     max_iters: int = 50
     grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_rho: float = 0.5
-    hessian_ridge: float = 1e-8
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol, self.armijo_c, self.hessian_ridge) <= 0:
+        if min(self.max_iters, self.grad_tol) <= 0:
             raise ValueError("Newton parameters must be positive")
-        if not 0 < self.backtrack_rho < 1:
-            raise ValueError("backtrack_rho must be in (0, 1)")
 
 
 class BasisGrid:
@@ -247,7 +250,7 @@ def fit_sde(
             )
         if it == cfg.max_iters:
             break
-        hess = stats.n * cov + cfg.hessian_ridge * np.eye(m)
+        hess = stats.n * cov + HESSIAN_RIDGE * np.eye(m)
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)  # negative for a descent direction
         t = 1.0
@@ -255,9 +258,9 @@ def fit_sde(
             cand = lam + t * step
             logz_c, mean_c, cov_c = eng.moments(cand)
             obj_c = stats.n * (logz_c - float(cand @ stats.phi_bar))
-            if obj_c <= obj + cfg.armijo_c * t * slope:
+            if obj_c <= obj + ARMIJO_C * t * slope:
                 break
-            t *= cfg.backtrack_rho
+            t *= BACKTRACK_RHO
         lam, logz, mean, cov, obj = cand, logz_c, mean_c, cov_c, obj_c
         if history is not None:
             history.append(obj)
@@ -274,7 +277,6 @@ def fit_sde_relaxed(
     grid,
     cfg: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
-    relax_factor: float = 10.0,
     max_relax: int = MAX_RELAX,
 ) -> tuple[MEDensity, list[str]]:
     """fit_sde with a tolerance-relaxation ladder.
@@ -282,12 +284,12 @@ def fit_sde_relaxed(
     Ill-conditioned bags can plateau just above a tight gradient tolerance
     (the Newton system hits float precision); experiment harnesses prefer a
     slightly looser fit over a failed run. Retries with grad_tol scaled by
-    relax_factor up to max_relax times, reporting any relaxation used.
+    10 up to max_relax times, reporting any relaxation used.
     """
     notes: list[str] = []
     last: ConvergenceError | None = None
     for level in range(max_relax + 1):
-        tol = cfg.grad_tol * relax_factor**level
+        tol = cfg.grad_tol * 10.0**level
         try:
             dens = fit_sde(stats, spec, grid, replace(cfg, grad_tol=tol), engine=engine)
             if level:

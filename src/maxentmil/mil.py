@@ -242,32 +242,18 @@ def _discrete_sym_kl(la: np.ndarray, lb: np.ndarray) -> float:
     return float(((np.exp(la) - np.exp(lb)) * (la - lb)).sum())
 
 
+def _pairwise(items, dist) -> np.ndarray:
+    """Symmetric matrix of dist(items[i], items[j]) over i < j, zero diagonal."""
+    n = len(items)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = dist(items[i], items[j])
+    return out
+
+
 def sym_kl_matrix(densities: list[MEDensity]) -> np.ndarray:
-    n = len(densities)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = sym_kl(densities[i], densities[j])
-    return out
-
-
-def _kde_matrix(logp: list[np.ndarray]) -> np.ndarray:
-    """Pairwise symmetric KL from each KDE's normalized grid log-probabilities."""
-    n = len(logp)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = _discrete_sym_kl(logp[i], logp[j])
-    return out
-
-
-def _hausdorff_matrix(bags: list[np.ndarray]) -> np.ndarray:
-    n = len(bags)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = avg_hausdorff(bags[i], bags[j])
-    return out
+    return _pairwise(densities, sym_kl)
 
 
 def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
@@ -281,12 +267,12 @@ def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
     if kind == "kl-kde":
         if grid is None or not all(isinstance(x, KdeModel) for x in items):
             raise ValueError("kind 'kl-kde' expects KdeModel items and a grid")
-        return _kde_matrix(_kde_grid_log_probs(list(items), grid))
+        return _pairwise(_kde_grid_log_probs(list(items), grid), _discrete_sym_kl)
     if kind == "hausdorff":
         arrays = [np.asarray(x, dtype=float) for x in items]
         if any(a.ndim != 2 for a in arrays):
             raise ValueError("kind 'hausdorff' expects (n, d) instance arrays")
-        return _hausdorff_matrix(arrays)
+        return _pairwise(arrays, avg_hausdorff)
     raise ValueError(f"unknown distance kind {kind!r}; expected one of {DISTANCES}")
 
 
@@ -355,10 +341,7 @@ def citation_knn(
     n = len(train_items)
     if ids is None:
         ids = [f"{i:06d}" for i in range(n)]
-    d_train = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_train[i, j] = d_train[j, i] = metric(train_items[i], train_items[j])
+    d_train = _pairwise(train_items, metric)
     d_query = np.array([metric(query_item, item) for item in train_items])
     return citation_knn_precomputed(d_train, d_query, labels, ids, cfg)
 
@@ -415,34 +398,27 @@ def evaluate_split(
     grid = make_auto_grid(domain, cfg.grid_points, cfg.mc_nodes, cfg.basis_seed)
     if cfg.distance == "hausdorff":
         train_items = [b.instances for b in train.bags]
-        d_train = distance_matrix(train_items, "hausdorff")
-        d_queries = [
-            np.array([avg_hausdorff(tb.instances, item) for item in train_items])
-            for tb in test.bags
-        ]
+        test_items = [b.instances for b in test.bags]
+        dist = avg_hausdorff
     elif cfg.distance == "kl-kde":
         # each bag's KDE is evaluated on the grid once, train and test alike
-        train_logp = _kde_grid_log_probs([kde_fit(b.instances) for b in train.bags], grid)
-        test_logp = _kde_grid_log_probs([kde_fit(b.instances) for b in test.bags], grid)
-        d_train = _kde_matrix(train_logp)
-        d_queries = [
-            np.array([_discrete_sym_kl(q, lp) for lp in train_logp]) for q in test_logp
-        ]
+        train_items = _kde_grid_log_probs([kde_fit(b.instances) for b in train.bags], grid)
+        test_items = _kde_grid_log_probs([kde_fit(b.instances) for b in test.bags], grid)
+        dist = _discrete_sym_kl
     else:
         spec = make_basis(train.d, cfg.m, cfg.basis_seed)
         engine = BasisGrid(spec, grid)
-        train_dens = _train_densities(train, spec, grid, engine, cfg)
-        d_train = sym_kl_matrix(train_dens)
-        d_queries = []
-        for tb in test.bags:
-            q, _ = fit_sde_relaxed(
-                suff_stats(tb.instances, spec, tb.bag_id),
-                spec,
-                grid,
-                cfg.newton,
+        train_items = _train_densities(train, spec, grid, engine, cfg)
+        test_items = [
+            fit_sde_relaxed(
+                suff_stats(tb.instances, spec, tb.bag_id), spec, grid, cfg.newton,
                 engine=engine,
-            )
-            d_queries.append(np.array([sym_kl(q, td) for td in train_dens]))
+            )[0]
+            for tb in test.bags
+        ]
+        dist = sym_kl
+    d_train = _pairwise(train_items, dist)
+    d_queries = [np.array([dist(q, item) for item in train_items]) for q in test_items]
     out = []
     for tb, d_query in zip(test.bags, d_queries):
         pred = citation_knn_precomputed(d_train, d_query, labels, ids, cfg.knn)

@@ -176,10 +176,6 @@ def model_to_dict(
     }
 
 
-def save_model(path, **kwargs):
-    write_json(path, model_to_dict(**kwargs))
-
-
 def load_model(path):
     """Returns (spec, domain, grid, densities, ns, raw dict)."""
     rec = read_json(path)

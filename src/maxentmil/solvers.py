@@ -46,6 +46,12 @@ JOINT_SOLVERS = ("mde", "rmde", "rmde-continuation", "rmde-cv", "cmen")
 
 DEFAULT_CV_ETAS = tuple(10.0**k for k in range(-4, 5))
 
+# CMENA step control. Each line-search round multiplies tau by LS_ALPHA
+# (growing back divides by it); tau never drops below TAU_FLOOR times the
+# round's starting value.
+LS_ALPHA = 0.7
+TAU_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class LambdaMatrix:
@@ -76,30 +82,24 @@ class LambdaMatrix:
 
 @dataclass(frozen=True)
 class CmenaConfig:
-    """Knobs for the constrained solver; defaults follow the stopping rule
-    MaxIter <= 100, objTol < 1e-2, consTol < 1e-1."""
+    """The confidence multiplier a (eps = a*N*m/2) and the stopping rule
+    MaxIter <= 100, objTol < 1e-2, consTol < 1e-1 of the joint solvers.
+    The step control (LS_ALPHA, TAU_FLOOR) and the dual bracket, which
+    starts at [0, 1], are fixed."""
 
     a: float = 1.0
     max_outer: int = 30
     max_inner: int = 100
     obj_tol: float = 1e-2
     cons_tol: float = 1e-1
-    ls_alpha: float = 0.7
-    tau_floor: float = 1e-3
-    z_lo: float = 0.0
-    z_hi_init: float = 1.0
 
     def __post_init__(self):
         if min(self.max_outer, self.max_inner) < 1:
             raise ValueError("iteration budgets must be >= 1")
-        if min(self.obj_tol, self.cons_tol, self.tau_floor, self.z_hi_init) <= 0:
+        if min(self.obj_tol, self.cons_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.ls_alpha < 1:
-            raise ValueError("ls_alpha must be in (0, 1)")
         if self.a <= 0:
             raise ValueError("a must be positive")
-        if self.z_lo < 0:
-            raise ValueError("z_lo must be >= 0")
 
 
 @dataclass
@@ -306,17 +306,16 @@ def line_search(
     lambda_bar: np.ndarray,
     z: float,
     tau_start: float,
-    cfg: CmenaConfig,
     g_fn,
     g_bar: float,
     grad_bar: np.ndarray,
 ) -> tuple[float, np.ndarray, bool, float]:
     """Grow the step (shrink tau) while the quadratic majorization holds.
 
-    Starting from tau_start, each round multiplies tau by ls_alpha, forms
+    Starting from tau_start, each round multiplies tau by LS_ALPHA, forms
     the proximal candidate at the smaller tau, and keeps it only while
     L(cand, z) <= Q(cand, lambda_bar) still holds; the last validated
-    candidate wins. tau never drops below tau_floor * tau_start.
+    candidate wins. tau never drops below TAU_FLOOR * tau_start.
 
     Returns (accepted tau, accepted candidate, whether the accepted
     candidate satisfies the majorization, g at the accepted candidate).
@@ -332,8 +331,8 @@ def line_search(
     if not ok:
         return tau, cand, False, g_cand
     while True:
-        tau_next = cfg.ls_alpha * tau
-        if tau_next < cfg.tau_floor * tau_start:
+        tau_next = LS_ALPHA * tau
+        if tau_next < TAU_FLOOR * tau_start:
             break
         cand_next = _prox_data(lambda_bar, z, tau_next, grad_bar)
         g_next = g_fn(cand_next)
@@ -351,7 +350,7 @@ def _cmen_inner(
     tau_lip: float,
     cfg: CmenaConfig,
     tau_start: float | None = None,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> tuple[np.ndarray, int, bool, float, float, float]:
     """Accelerated proximal descent on |L|_* + z*(g(L) - eps) at fixed z.
 
     The step control carries the accepted tau from one iteration to the
@@ -361,7 +360,8 @@ def _cmen_inner(
     curvature instead of the global bound. Stops when the running minimum
     of the nuclear norm stalls by less than obj_tol, or after max_inner
     steps. Returns the last iterate, the step count, whether every
-    accepted step passed the majorization check, and the final tau.
+    accepted step passed the majorization check, the final tau, and g and
+    the nuclear norm at the last iterate.
     """
     if tau_start is None:
         tau_start = tau_lip
@@ -376,21 +376,22 @@ def _cmen_inner(
         nll_b, grad_b = prob.nll_and_grad(base)
         tau_try = tau_from
         tau_acc, cand, ok, g_cand = line_search(
-            base, z, tau_try, cfg, g_of, nll_b - nll_hat, grad_b
+            base, z, tau_try, g_of, nll_b - nll_hat, grad_b
         )
-        grow = 1.0 / cfg.ls_alpha
+        grow = 1.0 / LS_ALPHA
         while not ok and tau_try < tau_lip:
             tau_try = min(tau_try * grow, tau_lip)
             grow = grow * grow
             tau_acc, cand, ok, g_cand = line_search(
-                base, z, tau_try, cfg, g_of, nll_b - nll_hat, grad_b
+                base, z, tau_try, g_of, nll_b - nll_hat, grad_b
             )
         return tau_acc, cand, ok, g_cand
 
     cur = init.copy()
     prev = init.copy()
     g_cur = g_of(cur)
-    lagr_cur = nuclear_norm(cur) + z * g_cur
+    nuc_cur = nuclear_norm(cur)
+    lagr_cur = nuc_cur + z * g_cur
     a_prev, a_cur = 1.0, 1.0
     all_ok = True
     steps = 0
@@ -401,14 +402,16 @@ def _cmen_inner(
         if momentum > 0:
             bar = cur + momentum * (cur - prev)
             tau_acc, cand, ok, g_cand = searched_step(bar, tau_run)
-            lagr_cand = nuclear_norm(cand) + z * g_cand
+            nuc_cand = nuclear_norm(cand)
+            lagr_cand = nuc_cand + z * g_cand
             cand_ok = lagr_cand <= lagr_cur + 1e-9 * max(1.0, abs(lagr_cur))
         if not cand_ok:
             # Extrapolation overshot (or first step): plain majorized step
             # from the current iterate, which cannot increase L; restart
             # the momentum sequence.
             tau_acc, cand, ok, g_cand = searched_step(cur, tau_run)
-            lagr_cand = nuclear_norm(cand) + z * g_cand
+            nuc_cand = nuclear_norm(cand)
+            lagr_cand = nuc_cand + z * g_cand
             a_prev, a_cur = 1.0, 1.0
         all_ok = all_ok and ok
         tau_run = tau_acc
@@ -416,7 +419,7 @@ def _cmen_inner(
         delta_g = abs(g_cand - g_cur)
         moved = float(np.linalg.norm(cand - cur))
         scale = max(1.0, float(np.linalg.norm(cur)))
-        prev, cur, g_cur, lagr_cur = cur, cand, g_cand, lagr_cand
+        prev, cur, g_cur, nuc_cur, lagr_cur = cur, cand, g_cand, nuc_cand, lagr_cand
         a_prev, a_cur = a_cur, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * a_cur**2))
         steps = k
         # Near-stationary for this z: the iterate stopped moving.
@@ -427,7 +430,7 @@ def _cmen_inner(
         # stall must be joint.
         if delta_lagr < cfg.obj_tol and delta_g < 0.1 * cfg.cons_tol:
             break
-    return cur, steps, all_ok, tau_run
+    return cur, steps, all_ok, tau_run, g_cur, nuc_cur
 
 
 def fit_cmen(
@@ -461,10 +464,6 @@ def fit_cmen(
     report = FitReport(solver="cmen", tau_used=tau0, tau_unweighted=float(n_bags * m))
 
     nll_hat = prob.nll(lambda_hat.data)
-    g_hat = prob.nll(lambda_hat.data) - nll_hat  # zero by construction
-    if g_hat > eps:
-        raise RuntimeError("internal error: ML estimate violates its own bound")
-
     zero = np.zeros_like(lambda_hat.data)
     g_zero = prob.nll(zero) - nll_hat
     if g_zero <= eps:
@@ -479,39 +478,36 @@ def fit_cmen(
 
     best = lambda_hat.data
     best_nuc = nuclear_norm(best)
-    z_lo, z_hi = cfg.z_lo, cfg.z_hi_init
-    # Warm primal state per bracket endpoint: (iterate, accepted tau, g).
+    z_lo, z_hi = 0.0, 1.0
+    # Warm primal state per bracket endpoint: (iterate, accepted tau).
     # The zero matrix is the exact solution of the z -> 0 end; the ML
     # estimate anchors the high end. A midpoint is solved from BOTH
     # endpoints on half budgets and the lower-Lagrangian result wins: the
     # two endpoint families (near-zero vs near-ML boundary solutions) are
     # cheap to approach from opposite sides, and the contest picks the
     # cheap side automatically.
-    warm_lo = (zero, tau0, g_zero)
-    warm_hi = (lambda_hat.data, tau0, g_hat)
+    warm_lo = (zero, tau0)
+    warm_hi = (lambda_hat.data, tau0)
     bracketed = False
     converged = False
     for _ in range(cfg.max_outer):
         if not bracketed:
             z = z_hi
-            sol, steps, ls_ok, tau_out = _cmen_inner(
+            sol, steps, ls_ok, tau_out, gval, nuc = _cmen_inner(
                 prob, nll_hat, warm_hi[0], z, tau0, cfg, tau_start=warm_hi[1]
             )
-            gval = prob.nll(sol) - nll_hat
         else:
             z = 0.5 * (z_lo + z_hi)
             half = max(1, cfg.max_inner // 2)
             half_cfg = replace(cfg, max_inner=half)
             trial = []
-            for init, tau_warm, _ in (warm_lo, warm_hi):
-                s_, k_, ok_, t_ = _cmen_inner(
+            for init, tau_warm in (warm_lo, warm_hi):
+                s_, k_, ok_, t_, g_, nuc_ = _cmen_inner(
                     prob, nll_hat, init, z, tau0, half_cfg, tau_start=tau_warm
                 )
-                g_ = prob.nll(s_) - nll_hat
-                trial.append((nuclear_norm(s_) + z * (g_ - eps), s_, k_, ok_, t_, g_))
-            _, sol, steps, ls_ok, tau_out, gval = min(trial, key=lambda t: t[0])
+                trial.append((nuc_ + z * (g_ - eps), s_, k_, ok_, t_, g_, nuc_))
+            _, sol, steps, ls_ok, tau_out, gval, nuc = min(trial, key=lambda t: t[0])
             steps = trial[0][2] + trial[1][2]
-        nuc = nuclear_norm(sol)
         report.objective_trace.append(nuc)
         report.constraint_trace.append(gval - eps)
         report.rank_trace.append(numeric_rank(sol, RANK_TOL))
@@ -525,7 +521,7 @@ def fit_cmen(
         if abs(gval - eps) < cfg.cons_tol:
             converged = True
             break
-        state = (sol, tau_out, gval)
+        state = (sol, tau_out)
         if gval - eps >= 0:
             if bracketed:
                 z_lo, warm_lo = z, state
@@ -766,9 +762,6 @@ class PsiBasis:
         """k reduced features at one point."""
         x = np.asarray(x, dtype=float)
         return self.spec.evaluate(x[None, :])[0] @ self.u
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return self.spec.evaluate(points) @ self.u
 
 
 def psi_basis(

@@ -97,6 +97,23 @@ class TestFitCommand:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, key", [("cmena", "ls_alpha"), ("newton", "hessian_ridge")]
+    )
+    def test_fixed_solver_constant_is_unknown_key(
+        self, bag_file, tmp_path, capsys, block, key
+    ):
+        path, _ = bag_file
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({block: {key: 0.5}}))
+        code = main([
+            "fit", str(path), "--out", str(tmp_path / "o"), "--solver", "mde",
+            "--m", "8", "--config", str(cfgfile),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"unknown config keys in {cfgfile} ({block}): {key}" in err
+
     def test_fit_load_ranks_agree_with_inprocess(self, bag_file, tmp_path):
         from maxentmil.lowrank import numeric_rank
         from maxentmil.basis import domain_from_data, make_auto_grid, make_basis
@@ -375,6 +392,42 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         (_, resolved_command, params), _ = seen["resolved"]
         assert resolved_command == command
         assert options <= set(params), (command, sorted(options - set(params)))
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("fit", {"cmena": {"max_outer": 0}}, "iteration budgets must be >= 1"),
+        ("classify", {"distance": "bogus"}, "distance must be one of"),
+        ("phase-diagram", {"reps": 0}, "reps must be >= 1"),
+        ("synth", {"mode": "bogus"}, "mode must be"),
+    ],
+    ids=["fit", "classify", "phase-diagram", "synth"],
+)
+def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, config, message):
+    path, _ = bag_file
+    positionals = {"fit": [str(path)], "classify": [str(path), str(path)]}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code = main([
+        command, *positionals.get(command, []), "--out", str(out), "--config", str(cfgfile)
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound-check", "--out", "o", "--a-values", "2,x"], ["fit"]],
+    ids=["malformed-list", "missing-arguments"],
+)
+def test_usage_error_exits_1(argv, capsys):
+    # 2 is the "finished with warnings" code, so a usage error must not
+    # exit with argparse's 2.
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

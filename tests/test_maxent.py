@@ -229,7 +229,7 @@ class TestFitSde:
         st = suff_stats(bag, spec2d, "b")
         base = NewtonConfig(max_iters=4, grad_tol=1e-12)
         dens, notes = fit_sde_relaxed(
-            st, spec2d, grid2d, base, engine=engine2d, relax_factor=1e6, max_relax=2
+            st, spec2d, grid2d, base, engine=engine2d, max_relax=2
         )
         assert notes and "relaxed" in notes[0]
 

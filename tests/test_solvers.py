@@ -20,6 +20,8 @@ from maxentmil.maxent import (
     suff_stats,
 )
 from maxentmil.solvers import (
+    LS_ALPHA,
+    TAU_FLOOR,
     CmenaConfig,
     LambdaMatrix,
     epsilon_bound,
@@ -249,24 +251,20 @@ class TestLineSearch:
     def test_accepts_within_one_alpha_factor(self, rng):
         curv = 2.0
         bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        cfg = CmenaConfig(ls_alpha=0.7)
-        tau, cand, ok, _ = line_search(bar, 1.0, 8.0, cfg, g_fn, g_bar, grad_bar)
+        tau, cand, ok, _ = line_search(bar, 1.0, 8.0, g_fn, g_bar, grad_bar)
         assert ok
-        assert curv <= tau <= curv / cfg.ls_alpha + 1e-9
+        assert curv <= tau <= curv / LS_ALPHA + 1e-9
 
     def test_exact_curvature_start_keeps_tau(self, rng):
         curv = 3.0
         bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        for alpha in (0.7, 0.99):
-            cfg = CmenaConfig(ls_alpha=alpha)
-            tau, _, ok, _ = line_search(bar, 1.0, curv, cfg, g_fn, g_bar, grad_bar)
-            assert ok and tau == pytest.approx(curv)
+        tau, _, ok, _ = line_search(bar, 1.0, curv, g_fn, g_bar, grad_bar)
+        assert ok and tau == pytest.approx(curv)
 
     def test_accepted_candidate_satisfies_majorization(self, rng):
         curv = 2.0
         bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        cfg = CmenaConfig()
-        tau, cand, ok, g_cand = line_search(bar, 0.5, 10.0, cfg, g_fn, g_bar, grad_bar)
+        tau, cand, ok, g_cand = line_search(bar, 0.5, 10.0, g_fn, g_bar, grad_bar)
         diff = cand - bar
         quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
             np.vdot(diff, diff)
@@ -276,17 +274,16 @@ class TestLineSearch:
     def test_floor_bounds_shrinkage(self, rng):
         # Flat objective validates every shrink; the floor must stop it.
         bar, _, _, _ = self.setup_quadratic(rng, 1.0)
-        cfg = CmenaConfig(ls_alpha=0.5, tau_floor=1e-2)
         tau, _, ok, _ = line_search(
-            bar, 1.0, 64.0, cfg, lambda y: 0.0, 0.0, np.zeros_like(bar)
+            bar, 1.0, 64.0, lambda y: 0.0, 0.0, np.zeros_like(bar)
         )
-        assert ok and tau >= 1e-2 * 64.0
+        assert ok and tau >= TAU_FLOOR * 64.0
 
 
 def replay_bracket(report, cfg):
     """Re-derive the dual bracket walk from the traces and check the
     documented semantics: doubling until feasible, then strict halving."""
-    z_lo, z_hi = cfg.z_lo, cfg.z_hi_init
+    z_lo, z_hi = 0.0, 1.0
     bracketed = False
     for z, c in zip(report.z_trace, report.constraint_trace):
         if not bracketed:
