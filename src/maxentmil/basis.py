@@ -60,6 +60,13 @@ class Domain:
         return bool((x >= self.lo).all() and (x <= self.hi).all())
 
 
+def check_feature_count(m: int) -> None:
+    """The feature map pairs a sin with a cos per frequency row, so m must
+    be even and >= 2."""
+    if m % 2 != 0 or m < 2:
+        raise ValueError(f"feature count m must be even and >= 2, got {m}")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Random trigonometric feature map of m paired sin/cos features.
@@ -74,8 +81,7 @@ class BasisSpec:
     freqs: np.ndarray
 
     def __post_init__(self):
-        if self.m % 2 != 0 or self.m < 2:
-            raise ValueError(f"feature count m must be even and >= 2, got {self.m}")
+        check_feature_count(self.m)
         freqs = np.asarray(self.freqs, dtype=float)
         if freqs.shape != (self.m // 2, self.d):
             raise ValueError(
@@ -146,8 +152,7 @@ def make_basis(d: int, m: int, seed: int) -> BasisSpec:
     """Draw the m/2 frequency rows i.i.d. from N(0, I_d), deterministically."""
     if d < 1:
         raise ValueError(f"instance dimension d must be >= 1, got {d}")
-    if m % 2 != 0 or m < 2:
-        raise ValueError(f"feature count m must be even and >= 2, got {m}")
+    check_feature_count(m)
     freqs = np.random.default_rng(seed).standard_normal((m // 2, d))
     return BasisSpec(d=d, m=m, seed=seed, freqs=freqs)
 

@@ -257,11 +257,11 @@ def cmd_bound_check(args) -> int:
         "seed": 0, "n_bags": 5, "m": 10, "n_per_bag": 200, "trials": 200,
         "a_values": [2.0, 5.0], "grid_points": 64,
     })
-    out = _prepare_out(args.out, "bound-check", params)
     fractions, sums = markov_bound_trial(
         params["n_bags"], params["m"], params["n_per_bag"], params["trials"],
         params["a_values"], params["seed"], grid_points=params["grid_points"],
     )
+    out = _prepare_out(args.out, "bound-check", params)
     table = [
         {
             "a": a,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Domain, IntegrationGrid, make_basis, make_tensor_grid
+from .basis import Domain, IntegrationGrid, check_feature_count, make_basis, make_tensor_grid
 from .errors import DegenerateDensityError
 from .lowrank import numeric_rank
 from .maxent import (
@@ -166,6 +166,7 @@ class PhaseDiagramSpec:
         if self.solver not in PHASE_SOLVERS:
             raise ValueError(f"solver must be one of {PHASE_SOLVERS}")
         for m in self.m_values:
+            check_feature_count(m)
             for t in self.t_values:
                 if t >= m:
                     raise ValueError(f"true rank {t} must be < feature count {m}")

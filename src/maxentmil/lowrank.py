@@ -1,5 +1,6 @@
-"""Spectral operators: SVD access, nuclear norm, singular-value
-soft-thresholding, numeric rank, and the SVD truncated at a cut."""
+"""Spectral operators: SVD access, singular values, nuclear norm,
+singular-value soft-thresholding, numeric rank, and the SVD truncated at a
+cut."""
 
 from __future__ import annotations
 
@@ -38,10 +39,14 @@ def svd(x: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=vt.T)
 
 
+def singular_values(x: np.ndarray) -> np.ndarray:
+    """Singular values, descending, from the dense backend."""
+    return np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
+
+
 def nuclear_norm(x: np.ndarray) -> float:
     """Sum of singular values."""
-    x = _check_finite(x)
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+    return float(singular_values(_check_finite(x)).sum())
 
 
 def soft_threshold(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -59,9 +64,7 @@ def soft_threshold(x: np.ndarray, alpha: float) -> np.ndarray:
 
 def numeric_rank(x: np.ndarray, threshold: float) -> int:
     """Number of singular values strictly above the threshold."""
-    x = np.asarray(x, dtype=float)
-    s = np.linalg.svd(x, compute_uv=False)
-    return int((s > threshold).sum())
+    return int((singular_values(x) > threshold).sum())
 
 
 def rank_ladder_svd(x: np.ndarray, cut: float) -> SvdFactors:

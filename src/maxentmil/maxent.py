@@ -13,7 +13,7 @@ their node distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,8 +227,9 @@ def fit_sde(
     grad_tol / n. When a `history` list is passed, the objective value of
     every iterate is appended to it.
 
-    Raises ConvergenceError (carrying the last gradient norm) if the
-    iteration budget runs out.
+    Raises ConvergenceError (carrying the last gradient norm and every
+    iterate, for fit_sde_relaxed's looser rungs) if the iteration budget
+    runs out.
     """
     eng = as_engine(spec, grid, engine)
     m = stats.m
@@ -239,15 +240,13 @@ def fit_sde(
     obj = stats.n * (logz - float(lam @ stats.phi_bar))
     if history is not None:
         history.append(obj)
-    grad_norm = np.inf
+    iterates = []
     for it in range(cfg.max_iters + 1):
         grad = stats.n * (mean - stats.phi_bar)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= cfg.grad_tol:
-            key = spec.key if hasattr(spec, "key") else ("basis", m)
-            return MEDensity(
-                bag_id=stats.bag_id, lam=lam, logZ=logz, mean_phi=mean, basis_key=key
-            )
+            return _density(stats, spec, lam, logz, mean)
+        iterates.append((grad_norm, lam, logz, mean))
         if it == cfg.max_iters:
             break
         hess = stats.n * cov + HESSIAN_RIDGE * np.eye(m)
@@ -264,11 +263,23 @@ def fit_sde(
         lam, logz, mean, cov, obj = cand, logz_c, mean_c, cov_c, obj_c
         if history is not None:
             history.append(obj)
-    raise ConvergenceError(
-        f"bag {stats.bag_id!r}: Newton did not reach grad_tol={cfg.grad_tol} "
-        f"in {cfg.max_iters} iterations (last grad norm {grad_norm:.3e})",
+    raise _newton_stalled(stats, cfg.grad_tol, cfg.max_iters, iterates)
+
+
+def _density(stats: SufficientStats, spec, lam, logz, mean) -> MEDensity:
+    key = spec.key if hasattr(spec, "key") else ("basis", stats.m)
+    return MEDensity(bag_id=stats.bag_id, lam=lam, logZ=logz, mean_phi=mean, basis_key=key)
+
+
+def _newton_stalled(stats, tol, max_iters, iterates) -> ConvergenceError:
+    grad_norm = iterates[-1][0]
+    exc = ConvergenceError(
+        f"bag {stats.bag_id!r}: Newton did not reach grad_tol={tol} "
+        f"in {max_iters} iterations (last grad norm {grad_norm:.3e})",
         grad_norm=grad_norm,
     )
+    exc.iterates = iterates
+    return exc
 
 
 def fit_sde_relaxed(
@@ -283,23 +294,23 @@ def fit_sde_relaxed(
 
     Ill-conditioned bags can plateau just above a tight gradient tolerance
     (the Newton system hits float precision); experiment harnesses prefer a
-    slightly looser fit over a failed run. Retries with grad_tol scaled by
-    10 up to max_relax times, reporting any relaxation used.
+    slightly looser fit over a failed run. The rungs are grad_tol scaled by
+    10 up to max_relax times. The Newton path does not depend on the
+    tolerance, so one fit_sde pass serves every rung: when it stalls, the
+    first iterate meeting the tightest rung any iterate met is returned,
+    with a note naming the relaxation used.
     """
-    notes: list[str] = []
-    last: ConvergenceError | None = None
-    for level in range(max_relax + 1):
+    try:
+        return fit_sde(stats, spec, grid, cfg, engine=engine), []
+    except ConvergenceError as exc:
+        iterates = exc.iterates
+    for level in range(1, max_relax + 1):
         tol = cfg.grad_tol * 10.0**level
-        try:
-            dens = fit_sde(stats, spec, grid, replace(cfg, grad_tol=tol), engine=engine)
-            if level:
-                notes.append(
-                    f"bag {stats.bag_id!r}: gradient tolerance relaxed to {tol:.1e}"
-                )
-            return dens, notes
-        except ConvergenceError as exc:
-            last = exc
-    raise last
+        for grad_norm, lam, logz, mean in iterates:
+            if grad_norm <= tol:
+                note = f"bag {stats.bag_id!r}: gradient tolerance relaxed to {tol:.1e}"
+                return _density(stats, spec, lam, logz, mean), [note]
+    raise _newton_stalled(stats, cfg.grad_tol * 10.0**max_relax, cfg.max_iters, iterates)
 
 
 def _check_same_basis(p: MEDensity, q: MEDensity):

@@ -10,8 +10,8 @@ i is bag i's density parameter.
 * rmde_continuation — fit_rmde down a geometric eta ladder.
 * rmde_cross_validate — fit_rmde at the eta that wins a held-out bag split.
 * fit_cmen      — nuclear-norm minimization subject to the likelihood
-                  confidence constraint g(L) <= eps, by an accelerated
-                  proximal inner loop nested in a bisection on the dual
+                  confidence constraint g(L) <= eps, by proximal gradient
+                  with an adaptive step nested in a bisection on the dual
                   multiplier z (CMENA).
 * fit_joint     — the one dispatch: fits the column-wise ML matrix once and
                   runs the named solver from it.
@@ -24,12 +24,12 @@ in-probability ceiling, so the constraint needs no tuning.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .lowrank import nuclear_norm, numeric_rank, soft_threshold, svd
+from .lowrank import nuclear_norm, numeric_rank, singular_values, soft_threshold, svd
 from .maxent import (
     MAX_RELAX,
     BasisGrid,
@@ -347,81 +347,50 @@ def _cmen_inner(
     nll_hat: float,
     init: np.ndarray,
     z: float,
+    tau_start: float,
     tau_lip: float,
+    max_inner: int,
     cfg: CmenaConfig,
-    tau_start: float | None = None,
 ) -> tuple[np.ndarray, int, bool, float, float, float]:
-    """Accelerated proximal descent on |L|_* + z*(g(L) - eps) at fixed z.
+    """Proximal gradient with an adaptive step on |L|_* + z*(g(L) - eps) at
+    fixed z.
 
-    The step control carries the accepted tau from one iteration to the
-    next (shrinking while the majorization holds, growing back toward the
-    Lipschitz bound when it fails there), so most iterations cost only a
-    couple of constraint evaluations and tau adapts to the visited
-    curvature instead of the global bound. Stops when the running minimum
-    of the nuclear norm stalls by less than obj_tol, or after max_inner
-    steps. Returns the last iterate, the step count, whether every
-    accepted step passed the majorization check, the final tau, and g and
-    the nuclear norm at the last iterate.
+    Each step is one line-searched proximal step from the current iterate.
+    tau carries over from step to step: it shrinks while the majorization
+    holds and grows back toward tau_lip (by a factor that squares each
+    round) where it fails, so most steps cost a couple of constraint
+    evaluations. Stops when the iterate stops moving, when the Lagrangian
+    and g both stall, or after max_inner steps. Returns the last iterate,
+    the step count, whether every accepted step passed the majorization
+    check, the final tau, and g and the nuclear norm at the last iterate.
     """
-    if tau_start is None:
-        tau_start = tau_lip
 
     def g_of(data):
         return prob.nll(data) - nll_hat
 
-    def searched_step(base, tau_from):
-        """Line-searched proximal step from `base`, growing tau back toward
-        the Lipschitz bound if the warm-started value undershoots the local
-        curvature (accelerating so a deep undershoot costs few probes)."""
-        nll_b, grad_b = prob.nll_and_grad(base)
-        tau_try = tau_from
-        tau_acc, cand, ok, g_cand = line_search(
-            base, z, tau_try, g_of, nll_b - nll_hat, grad_b
-        )
+    cur = init
+    g_cur = g_of(cur)
+    nuc_cur = nuclear_norm(cur)
+    lagr_cur = nuc_cur + z * g_cur
+    all_ok = True
+    tau = tau_start
+    for steps in range(1, max_inner + 1):
+        _, grad = prob.nll_and_grad(cur)
+        tau_try = tau
+        tau, cand, ok, g_cand = line_search(cur, z, tau_try, g_of, g_cur, grad)
         grow = 1.0 / LS_ALPHA
         while not ok and tau_try < tau_lip:
             tau_try = min(tau_try * grow, tau_lip)
             grow = grow * grow
-            tau_acc, cand, ok, g_cand = line_search(
-                base, z, tau_try, g_of, nll_b - nll_hat, grad_b
-            )
-        return tau_acc, cand, ok, g_cand
-
-    cur = init.copy()
-    prev = init.copy()
-    g_cur = g_of(cur)
-    nuc_cur = nuclear_norm(cur)
-    lagr_cur = nuc_cur + z * g_cur
-    a_prev, a_cur = 1.0, 1.0
-    all_ok = True
-    steps = 0
-    tau_run = tau_start
-    for k in range(1, cfg.max_inner + 1):
-        momentum = (a_prev - 1.0) / a_cur
-        cand_ok = False
-        if momentum > 0:
-            bar = cur + momentum * (cur - prev)
-            tau_acc, cand, ok, g_cand = searched_step(bar, tau_run)
-            nuc_cand = nuclear_norm(cand)
-            lagr_cand = nuc_cand + z * g_cand
-            cand_ok = lagr_cand <= lagr_cur + 1e-9 * max(1.0, abs(lagr_cur))
-        if not cand_ok:
-            # Extrapolation overshot (or first step): plain majorized step
-            # from the current iterate, which cannot increase L; restart
-            # the momentum sequence.
-            tau_acc, cand, ok, g_cand = searched_step(cur, tau_run)
-            nuc_cand = nuclear_norm(cand)
-            lagr_cand = nuc_cand + z * g_cand
-            a_prev, a_cur = 1.0, 1.0
+            tau, cand, ok, g_cand = line_search(cur, z, tau_try, g_of, g_cur, grad)
         all_ok = all_ok and ok
-        tau_run = tau_acc
+        nuc_cand = nuclear_norm(cand)
+        lagr_cand = nuc_cand + z * g_cand
         delta_lagr = lagr_cur - lagr_cand
         delta_g = abs(g_cand - g_cur)
         moved = float(np.linalg.norm(cand - cur))
         scale = max(1.0, float(np.linalg.norm(cur)))
-        prev, cur, g_cur, nuc_cur, lagr_cur = cur, cand, g_cand, nuc_cand, lagr_cand
-        a_prev, a_cur = a_cur, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * a_cur**2))
-        steps = k
+        cur, g_cur, nuc_cur, lagr_cur = cand, g_cand, nuc_cand, lagr_cand
         # Near-stationary for this z: the iterate stopped moving.
         if moved <= 1e-5 * scale:
             break
@@ -430,7 +399,7 @@ def _cmen_inner(
         # stall must be joint.
         if delta_lagr < cfg.obj_tol and delta_g < 0.1 * cfg.cons_tol:
             break
-    return cur, steps, all_ok, tau_run, g_cur, nuc_cur
+    return cur, steps, all_ok, tau, g_cur, nuc_cur
 
 
 def fit_cmen(
@@ -491,23 +460,20 @@ def fit_cmen(
     bracketed = False
     converged = False
     for _ in range(cfg.max_outer):
-        if not bracketed:
-            z = z_hi
-            sol, steps, ls_ok, tau_out, gval, nuc = _cmen_inner(
-                prob, nll_hat, warm_hi[0], z, tau0, cfg, tau_start=warm_hi[1]
-            )
+        if bracketed:
+            z, budget = 0.5 * (z_lo + z_hi), max(1, cfg.max_inner // 2)
+            starts = (warm_lo, warm_hi)
         else:
-            z = 0.5 * (z_lo + z_hi)
-            half = max(1, cfg.max_inner // 2)
-            half_cfg = replace(cfg, max_inner=half)
-            trial = []
-            for init, tau_warm in (warm_lo, warm_hi):
-                s_, k_, ok_, t_, g_, nuc_ = _cmen_inner(
-                    prob, nll_hat, init, z, tau0, half_cfg, tau_start=tau_warm
-                )
-                trial.append((nuc_ + z * (g_ - eps), s_, k_, ok_, t_, g_, nuc_))
-            _, sol, steps, ls_ok, tau_out, gval, nuc = min(trial, key=lambda t: t[0])
-            steps = trial[0][2] + trial[1][2]
+            z, budget, starts = z_hi, cfg.max_inner, (warm_hi,)
+        trials = [
+            _cmen_inner(prob, nll_hat, init, z, tau_warm, tau0, budget, cfg)
+            for init, tau_warm in starts
+        ]
+        # The lower Lagrangian nuc + z*(g - eps) wins, the first on ties.
+        sol, _, ls_ok, tau_out, gval, nuc = min(
+            trials, key=lambda t: t[5] + z * (t[4] - eps)
+        )
+        steps = sum(t[1] for t in trials)
         report.objective_trace.append(nuc)
         report.constraint_trace.append(gval - eps)
         report.rank_trace.append(numeric_rank(sol, RANK_TOL))
@@ -562,7 +528,9 @@ def fit_rmde(
     Fixed step 1/tau with tau the Lipschitz bound, so every step descends
     the penalized objective; stops when the iterate displacement (equal to
     the prox-stationarity residual, by non-expansiveness) is within
-    obj_tol.
+    obj_tol. Each iterate is evaluated once (the likelihood value comes
+    with the gradient of the step taken from it) and decomposed once (its
+    singular values give both the nuclear norm and the traced rank).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -575,22 +543,24 @@ def fit_rmde(
     report = FitReport(
         solver="rmde", tau_used=tau, tau_unweighted=float(prob.n_bags * eng.m), etas=[eta]
     )
+
+    def trace(nll, data):
+        s = singular_values(data)
+        report.objective_trace.append(nll + eta * float(s.sum()))
+        report.rank_trace.append(int((s > RANK_TOL).sum()))
+
     data = init.data
-    report.objective_trace.append(prob.nll(data) + eta * nuclear_norm(data))
-    report.rank_trace.append(numeric_rank(data, RANK_TOL))
     converged = False
-    steps = 0
-    for k in range(1, cfg.max_inner + 1):
-        _, grad = prob.nll_and_grad(data)
+    for steps in range(1, cfg.max_inner + 1):
+        nll, grad = prob.nll_and_grad(data)
+        trace(nll, data)
         cand = soft_threshold(data - grad / tau, eta / tau)
         residual = float(np.linalg.norm(cand - data))
         data = cand
-        steps = k
-        report.objective_trace.append(prob.nll(data) + eta * nuclear_norm(data))
-        report.rank_trace.append(numeric_rank(data, RANK_TOL))
         if residual <= cfg.obj_tol:
             converged = True
             break
+    trace(prob.nll(data), data)
     report.inner_iters.append(steps)
     if not converged:
         report.converged = False

@@ -401,8 +401,10 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         ("classify", {"distance": "bogus"}, "distance must be one of"),
         ("phase-diagram", {"reps": 0}, "reps must be >= 1"),
         ("synth", {"mode": "bogus"}, "mode must be"),
+        ("phase-diagram", {"m_values": [9], "t_values": [2]}, "feature count m must be even"),
+        ("bound-check", {"trials": 10}, "need at least 50 trials"),
     ],
-    ids=["fit", "classify", "phase-diagram", "synth"],
+    ids=["fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check"],
 )
 def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, config, message):
     path, _ = bag_file

@@ -233,6 +233,32 @@ class TestFitSde:
         )
         assert notes and "relaxed" in notes[0]
 
+    def test_relaxed_ladder_is_one_newton_pass(self, spec2d, grid2d, engine2d, rng, monkeypatch):
+        # The Newton path does not depend on the tolerance, so the ladder
+        # costs exactly what one strict attempt costs.
+        bag = rng.uniform(-2.9, 2.9, size=(400, 2))
+        st = suff_stats(bag, spec2d, "b")
+        base = NewtonConfig(max_iters=4, grad_tol=1e-12)
+        calls = []
+        original = engine2d.moments
+
+        def counting(lam):
+            calls.append(1)
+            return original(lam)
+
+        monkeypatch.setattr(engine2d, "moments", counting)
+        with pytest.raises(ConvergenceError):
+            fit_sde(st, spec2d, grid2d, base, engine=engine2d)
+        strict = len(calls)
+        calls.clear()
+        dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d, max_relax=2)
+        assert notes
+        assert len(calls) == strict
+        tol = float(notes[0].rsplit(" ", 1)[1])  # "... relaxed to 1.0e-10"
+        loose = fit_sde(st, spec2d, grid2d, NewtonConfig(max_iters=4, grad_tol=tol), engine=engine2d)
+        np.testing.assert_array_equal(dens.lam, loose.lam)
+        assert dens.logZ == loose.logZ
+
     def test_recovers_sampled_truth_moments(self, spec2d, grid2d, engine2d):
         from maxentmil.experiments import rejection_sample
 

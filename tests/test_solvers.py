@@ -369,6 +369,24 @@ class TestFitCmen:
         assert r1.objective_trace == r2.objective_trace
         assert r1.constraint_trace == r2.constraint_trace
 
+    def test_one_gradient_per_inner_step(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+        # Every inner step is a proximal step from the current iterate: one
+        # gradient each, and none at an extrapolated point.
+        hat, stats = hat_and_stats
+        calls = []
+        original = solvers_mod._JointProblem.nll_and_grad
+
+        def counting(self, data):
+            calls.append(1)
+            return original(self, data)
+
+        monkeypatch.setattr(solvers_mod._JointProblem, "nll_and_grad", counting)
+        _, report = fit_cmen(
+            stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
+        )
+        assert sum(report.inner_iters) > 0
+        assert len(calls) == sum(report.inner_iters)
+
     @pytest.mark.slow
     def test_synthetic_rank_recovery_majority(self):
         # The desk-grid cell (m=20, T=2, n=1000, N=20, 10 reps); the frozen
@@ -424,6 +442,25 @@ class TestFitRmde:
         _, grad = prob.nll_and_grad(sol.data)
         step = soft_threshold(sol.data - grad / tau, eta / tau)
         assert np.linalg.norm(step - sol.data) <= cfg.obj_tol
+
+    def test_one_kernel_call_per_iterate(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+        # Each iterate's likelihood comes with the gradient of the step
+        # taken from it; only the last iterate needs a call of its own.
+        hat, stats = hat_and_stats
+        calls = []
+        for name in ("log_partition_many", "logz_and_mean_many"):
+            original = getattr(engine2d_mod, name)
+
+            def counting(data, original=original):
+                calls.append(1)
+                return original(data)
+
+            monkeypatch.setattr(engine2d_mod, name, counting)
+        _, report = fit_rmde(
+            stats, spec2d_mod, grid2d_mod, 5.0, newton=NEWTON, engine=engine2d_mod, init=hat
+        )
+        assert len(calls) == report.inner_iters[0] + 1
+        assert len(report.objective_trace) == len(report.rank_trace) == report.inner_iters[0] + 1
 
     def test_eta_validation(self, hat_and_stats, spec2d_mod, grid2d_mod):
         _, stats = hat_and_stats
