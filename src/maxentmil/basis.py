@@ -194,6 +194,29 @@ def make_tensor_grid(
     )
 
 
+def check_grid_resolution(spec: BasisSpec, grid: IntegrationGrid) -> None:
+    """Reject a tensor grid too coarse for the basis.
+
+    A midpoint grid with step h_j on axis j cannot resolve sin(g.x) once
+    |g_kj| * h_j >= pi for some frequency row g_k: its quadrature then
+    aliases the feature and the density fits fail far from the cause.
+    Monte Carlo grids have no step and are not checked.
+    """
+    if grid.kind != TENSOR_GRID:
+        return
+    ppa = grid.points_per_axis
+    widths = grid.domain.hi - grid.domain.lo
+    gmax = np.abs(spec.freqs).max(axis=0)
+    coarse = np.flatnonzero(gmax * widths / ppa >= np.pi)
+    if coarse.size:
+        j = coarse[0]
+        raise ValueError(
+            f"the {ppa}-point tensor grid is too coarse for the basis: axis {j} is "
+            f"{widths[j]:.4g} wide, over its limit of {np.pi * ppa / gmax[j]:.4g} "
+            f"(largest |frequency| {gmax[j]:.4g} times the grid step must stay below pi)"
+        )
+
+
 def make_mc_grid(domain: Domain, n_nodes: int, seed: int) -> IntegrationGrid:
     """Uniform Monte Carlo grid; deterministic given the seed."""
     if n_nodes < 1:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import domain_from_data, make_auto_grid, make_basis
+from .basis import check_grid_resolution, domain_from_data, make_auto_grid, make_basis
 from .maxent import BasisGrid, NewtonConfig, densities_from_columns, suff_stats
 from .mil import DISTANCES, CitationKnnConfig, PipelineConfig, evaluate_split, sym_kl_matrix
 from .modelio import (
@@ -118,6 +118,7 @@ def cmd_fit(args) -> int:
     spec = make_basis(dataset.d, params["m"], params["seed"])
     domain = domain_from_data(dataset.pooled_instances(), params["margin"])
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
+    check_grid_resolution(spec, grid)
     out = _prepare_out(args.out, "fit", params)
     engine = BasisGrid(spec, grid)
     stats = [suff_stats(b.instances, spec, b.bag_id) for b in dataset.bags]

@@ -13,6 +13,7 @@ their node distributions.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +95,35 @@ class NewtonConfig:
             raise ValueError("Newton parameters must be positive")
 
 
+_scratch = threading.local()
+
+
+def _workspace(q: int, n: int) -> np.ndarray:
+    """The calling thread's (Q, N) kernel workspace, allocated on first use
+    and again when the shape changes; the next kernel call overwrites it.
+
+    One workspace per thread, shared by every engine the thread uses, not
+    one per engine: callers keep engines alive after their solve (a sweep's
+    results, a benchmark's output checks), and a per-engine workspace would
+    multiply resident memory by the engines kept. Per thread, concurrent
+    calls never share it.
+    """
+    work = getattr(_scratch, "work", None)
+    if work is None or work.shape != (q, n):
+        work = _scratch.work = np.empty((q, n))
+    return work
+
+
 class BasisGrid:
     """Feature matrix evaluated on a grid, with batched density operations.
 
     Building the (Q, m) feature matrix dominates the cost of a single
     density query, so solvers construct one BasisGrid and reuse it for
     every bag and every iteration.
+
+    The batched kernels (log_partition_many, logz_and_mean_many) compute in
+    a reusable (Q, N) workspace (see _workspace) and return fresh arrays
+    that never alias it.
     """
 
     def __init__(self, spec, grid: IntegrationGrid):
@@ -137,20 +161,28 @@ class BasisGrid:
         cov = 0.5 * (cov + cov.T)
         return logz, mean, cov
 
+    def _shifted_exp(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """exp(scores - shift) per column, in the workspace, and the (N,) shift."""
+        e = _workspace(self.phi.shape[0], lambdas.shape[1])
+        np.matmul(self.phi, lambdas, out=e)
+        e += self.logw[:, None]
+        shift = e.max(axis=0)
+        e -= shift
+        np.exp(e, out=e)
+        return e, shift
+
     def log_partition_many(self, lambdas: np.ndarray) -> np.ndarray:
         """logZ per column of an (m, N) parameter matrix."""
-        a = self.phi @ lambdas + self.logw[:, None]
-        shift = a.max(axis=0)
-        return shift + np.log(np.exp(a - shift).sum(axis=0))
+        e, shift = self._shifted_exp(lambdas)
+        return shift + np.log(e.sum(axis=0))
 
     def logz_and_mean_many(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-column logZ (N,) and feature means (m, N)."""
-        a = self.phi @ lambdas + self.logw[:, None]
-        shift = a.max(axis=0)
-        e = np.exp(a - shift)
+        e, shift = self._shifted_exp(lambdas)
         totals = e.sum(axis=0)
         logz = shift + np.log(totals)
-        means = self.phi.T @ (e / totals)
+        e /= totals
+        means = self.phi.T @ e
         return logz, means
 
 

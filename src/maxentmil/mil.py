@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .basis import domain_from_data, make_auto_grid, make_basis
+from .basis import check_grid_resolution, domain_from_data, make_auto_grid, make_basis
 from .maxent import (
     BasisGrid,
     MEDensity,
@@ -407,6 +407,7 @@ def evaluate_split(
         dist = _discrete_sym_kl
     else:
         spec = make_basis(train.d, cfg.m, cfg.basis_seed)
+        check_grid_resolution(spec, grid)
         engine = BasisGrid(spec, grid)
         train_items = _train_densities(train, spec, grid, engine, cfg)
         test_items = [

@@ -4,6 +4,7 @@ import pytest
 from maxentmil.basis import (
     BasisSpec,
     Domain,
+    check_grid_resolution,
     domain_from_data,
     eval_basis,
     make_basis,
@@ -97,6 +98,25 @@ class TestTensorGrid:
         b = make_tensor_grid(box2d, 16)
         np.testing.assert_array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestGridResolution:
+    # One frequency row (2, 0.5): the limit on axis j is pi * ppa / |g_j|.
+    spec = BasisSpec(d=2, m=2, seed=0, freqs=np.array([[2.0, 0.5]]))
+
+    def test_fine_grid_accepted(self):
+        box = Domain(lo=[0.0, 0.0], hi=[0.99 * np.pi * 8 / 2, 1.0])
+        check_grid_resolution(self.spec, make_tensor_grid(box, 8))
+
+    def test_coarse_axis_named_with_width_and_limit(self):
+        box = Domain(lo=[0.0, 0.0], hi=[1.0, 60.0])
+        message = r"8-point tensor grid .* axis 1 is 60 wide, over its limit of 50.27"
+        with pytest.raises(ValueError, match=message):
+            check_grid_resolution(self.spec, make_tensor_grid(box, 8))
+
+    def test_monte_carlo_grid_not_checked(self):
+        box = Domain(lo=[0.0, 0.0], hi=[1.0, 1e6])
+        check_grid_resolution(self.spec, make_mc_grid(box, 10, seed=0))
 
 
 class TestMcGrid:

@@ -379,6 +379,8 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
     }
     seen = {}
     monkeypatch.setattr(cli, "_prepare_out", _stop_with(seen, "resolved"))
+    # bound-check resolves its output only after its trials; skip them
+    monkeypatch.setattr(cli, "markov_bound_trial", lambda *args, **kwargs: ({}, None))
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -418,6 +420,39 @@ def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, confi
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_rejects_grid_too_coarse_for_basis(bag_file, tmp_path, capsys):
+    # One finite but huge coordinate stretches the data-derived grid far
+    # past what the basis can resolve.
+    path, _ = bag_file
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["instances"][0][1] = 1e300
+    far = tmp_path / "far.jsonl"
+    far.write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", str(far), "--out", str(out), "--solver", "mde", "--m", "8"]) == 1
+    assert (
+        "the 64-point tensor grid is too coarse for the basis: axis 1 is 1.2e+300 wide, "
+        "over its limit of 212.3" in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_classify_rejects_grid_too_coarse_for_basis(bag_file, tmp_path, capsys):
+    # classify standardizes the bags first, so a too-coarse grid comes from
+    # --grid-points here.
+    path, _ = bag_file
+    code = main([
+        "classify", str(path), str(path), "--out", str(tmp_path / "o"),
+        "--m", "16", "--grid-points", "3",
+    ])
+    assert code == 1
+    assert (
+        "the 3-point tensor grid is too coarse for the basis: axis 0 is 4.953 wide, "
+        "over its limit of 4.054" in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(

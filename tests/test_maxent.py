@@ -128,6 +128,99 @@ class TestDensityMoments:
             assert fd == pytest.approx(mean[j], abs=1e-5)
 
 
+def reference_log_partition_many(engine, lambdas):
+    """The batched logZ written with one fresh array per step."""
+    a = engine.phi @ lambdas + engine.logw[:, None]
+    shift = a.max(axis=0)
+    return shift + np.log(np.exp(a - shift).sum(axis=0))
+
+
+def reference_logz_and_mean_many(engine, lambdas):
+    a = engine.phi @ lambdas + engine.logw[:, None]
+    shift = a.max(axis=0)
+    e = np.exp(a - shift)
+    totals = e.sum(axis=0)
+    return shift + np.log(totals), engine.phi.T @ (e / totals)
+
+
+class TestBatchedKernels:
+    """log_partition_many / logz_and_mean_many compute in a reusable
+    workspace; at Q=4096, m=16, N=36 that workspace is 1.15 MB."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, box2d):
+        return BasisGrid(make_basis(2, 16, seed=3), make_tensor_grid(box2d, 64))
+
+    def test_bytes_match_reference_across_resizes(self, engine):
+        rng = np.random.default_rng(0)
+        for n in (36, 5, 1, 36):
+            lambdas = rng.uniform(-3, 3, size=(16, n))
+            logz = engine.log_partition_many(lambdas)
+            assert logz.tobytes() == reference_log_partition_many(engine, lambdas).tobytes()
+            logz, means = engine.logz_and_mean_many(lambdas)
+            ref_logz, ref_means = reference_logz_and_mean_many(engine, lambdas)
+            assert logz.tobytes() == ref_logz.tobytes()
+            assert means.tobytes() == ref_means.tobytes()
+
+    @pytest.mark.parametrize("name", ["log_partition_many", "logz_and_mean_many"])
+    def test_results_survive_later_calls(self, engine, name):
+        def arrays(lambdas):
+            out = getattr(engine, name)(lambdas)
+            return out if isinstance(out, tuple) else (out,)
+
+        rng = np.random.default_rng(1)
+        first = arrays(rng.uniform(-3, 3, size=(16, 36)))
+        kept = [a.copy() for a in first]
+        second = arrays(rng.uniform(-3, 3, size=(16, 36)))
+        for a, copy in zip(first, kept):
+            assert a.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(a, b) for b in second)
+
+    @pytest.mark.parametrize("name", ["log_partition_many", "logz_and_mean_many"])
+    def test_call_allocates_less_than_one_workspace(self, engine, name):
+        import tracemalloc
+
+        kernel = getattr(engine, name)
+        lambdas = np.random.default_rng(2).uniform(-3, 3, size=(16, 36))
+        kernel(lambdas)  # warm-up: sizes the workspace
+        tracemalloc.start()
+        try:
+            kernel(lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < engine.phi.shape[0] * 36 * 8
+
+    def test_threads_sharing_an_engine_get_reference_bytes(self, engine):
+        # The workspace is per thread; a shared one would mix columns
+        # between threads once numpy releases the interpreter lock.
+        import sys
+        import threading
+
+        wrong = []
+
+        def work(n):
+            lambdas = np.random.default_rng(n).uniform(-3, 3, size=(16, n))
+            expected = reference_logz_and_mean_many(engine, lambdas)
+            for _ in range(10):
+                got = engine.logz_and_mean_many(lambdas)
+                if any(g.tobytes() != e.tobytes() for g, e in zip(got, expected)):
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in (36, 36, 7, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
 class TestSdeObjectiveAndDerivatives:
     def test_objective_at_zero(self, spec2d, grid2d):
         st = SufficientStats(bag_id="b", n=17, phi_bar=np.zeros(8))
