@@ -28,6 +28,7 @@ from .modelio import (
     model_to_dict,
     read_bags,
     write_bags_jsonl,
+    write_csv_table,
     write_json,
     write_matrix_csv,
     write_predictions_jsonl,
@@ -37,14 +38,14 @@ from .experiments import (
     PHASE_SOLVERS,
     PhaseDiagramSpec,
     markov_bound_trial,
-    run_phase_diagram,
+    phase_cells,
     runtime_benchmark,
     synth_bags_from_matrix,
     synth_box_grid,
     synth_lowrank_lambda,
     synth_two_class_bags,
 )
-from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, fit_joint
+from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, epsilon_bound, fit_joint
 
 
 def _check_keys(rec: dict, allowed: set, context: str):
@@ -191,15 +192,14 @@ def _phase_cell_path(out: Path, solver: str, m: int, t: int) -> Path:
 def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[dict]:
     pd = replace(pd, solver=solver)
     (out / "cells").mkdir(exist_ok=True)
-    done: set[tuple[int, int]] = set()
     rows: dict[tuple[int, int], dict] = {}
     for m in pd.m_values:
         for t in pd.t_values:
             path = _phase_cell_path(out, solver, m, t)
             if path.exists():
                 rows[(m, t)] = json.loads(path.read_text())
-                done.add((m, t))
-    for cell in run_phase_diagram(pd, skip_cells=done):
+    # Each cell is written as it finishes, so a rerun resumes per cell.
+    for cell in phase_cells(pd, skip_cells=set(rows)):
         rec = {
             "m": cell.m,
             "T": cell.t,
@@ -212,11 +212,11 @@ def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[
         rows[(cell.m, cell.t)] = rec
     ordered = [rows[(m, t)] for m in pd.m_values for t in pd.t_values]
     write_json(out / f"grid_{solver}.json", ordered)
-    with open(out / f"grid_{solver}.csv", "w") as fh:
-        fh.write("m,T,recovery_probability,ranks\n")
-        for rec in ordered:
-            ranks = ";".join(str(r) for r in rec["ranks"])
-            fh.write(f"{rec['m']},{rec['T']},{rec['recovery_probability']},{ranks}\n")
+    write_csv_table(
+        out / f"grid_{solver}.csv",
+        ("m", "T", "recovery_probability", "ranks"),
+        [{**rec, "ranks": ";".join(str(r) for r in rec["ranks"])} for rec in ordered],
+    )
     return ordered
 
 
@@ -266,20 +266,18 @@ def cmd_bound_check(args) -> int:
     table = [
         {
             "a": a,
-            "epsilon": a * params["n_bags"] * params["m"] / 2.0,
+            "epsilon": epsilon_bound(params["n_bags"], params["m"], a),
             "exceedance_fraction": frac,
             "markov_ceiling": 1.0 / a,
         }
         for a, frac in sorted(fractions.items())
     ]
     write_json(out / "exceedance.json", {"table": table, "sums": sums.tolist()})
-    with open(out / "exceedance.csv", "w") as fh:
-        fh.write("a,epsilon,exceedance_fraction,markov_ceiling\n")
-        for row in table:
-            fh.write(
-                f"{row['a']},{row['epsilon']},{row['exceedance_fraction']},"
-                f"{row['markov_ceiling']}\n"
-            )
+    write_csv_table(
+        out / "exceedance.csv",
+        ("a", "epsilon", "exceedance_fraction", "markov_ceiling"),
+        table,
+    )
     return 0
 
 
@@ -334,10 +332,7 @@ def cmd_bench(args) -> int:
         repeats=params["repeats"],
     )
     write_json(out / "bench.json", rows)
-    with open(out / "bench.csv", "w") as fh:
-        fh.write("op,n,seconds\n")
-        for row in rows:
-            fh.write(f"{row['op']},{row['n']},{row['seconds']}\n")
+    write_csv_table(out / "bench.csv", ("op", "n", "seconds"), rows)
     return 0
 
 

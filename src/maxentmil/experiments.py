@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -184,21 +186,19 @@ class PhaseCell:
     warnings: tuple[str, ...] = ()
 
 
-def _sample_stats_for_truth(
-    truth: LambdaMatrix, spec, grid, engine, n_per_bag, seed_parts
-) -> list:
-    densities = densities_from_matrix(truth, spec, grid, engine=engine)
-    stats = []
+def _sample_columns(matrix: LambdaMatrix, spec, grid, engine, n_per_bag, seed_parts):
+    """Yield (density, rejection samples) per column of matrix, bag i drawn
+    with seed derive_seed(*seed_parts, "instances", i)."""
+    densities = densities_from_matrix(matrix, spec, grid, engine=engine)
     for i, dens in enumerate(densities):
         samples, _ = rejection_sample(
             dens, spec, grid, n_per_bag, derive_seed(*seed_parts, "instances", i)
         )
-        stats.append(suff_stats(samples, spec, truth.bag_ids[i]))
-    return stats
+        yield dens, samples
 
 
-def _phase_rep(args) -> tuple[int, int, int, int, tuple[str, ...]]:
-    """One (cell, rep) work item; returns (m, t, rep, recovered rank, warnings)."""
+def _phase_rep(args) -> tuple[int, tuple[str, ...]]:
+    """One (cell, rep) work item; returns (recovered rank, warnings)."""
     pd, m, t, rep, threshold = args
     warnings: list[str] = []
     try:
@@ -208,9 +208,10 @@ def _phase_rep(args) -> tuple[int, int, int, int, tuple[str, ...]]:
         spec = make_basis(pd.d, m, derive_seed(pd.base_seed, m, t, rep, "basis"))
         grid = synth_box_grid(pd.domain_halfwidth, pd.d, pd.grid_points)
         engine = BasisGrid(spec, grid)
-        stats = _sample_stats_for_truth(
+        columns = _sample_columns(
             truth, spec, grid, engine, pd.n_per_bag, (pd.base_seed, m, t, rep)
         )
+        stats = [suff_stats(samples, spec, dens.bag_id) for dens, samples in columns]
         sol, rep_report = fit_joint(
             pd.solver, stats, spec, grid, engine, pd.cmena, pd.newton,
             split_seed=derive_seed(pd.base_seed, m, t, rep, "cv-split"),
@@ -220,7 +221,7 @@ def _phase_rep(args) -> tuple[int, int, int, int, tuple[str, ...]]:
     except Exception as exc:  # record, never abort the sweep
         warnings.append(f"rep failed: {type(exc).__name__}: {exc}")
         rank = -1
-    return m, t, rep, rank, tuple(warnings)
+    return rank, tuple(warnings)
 
 
 def phase_cell_threshold(pd: PhaseDiagramSpec, m: int, t: int) -> float:
@@ -234,51 +235,45 @@ def phase_cell_threshold(pd: PhaseDiagramSpec, m: int, t: int) -> float:
     return recovery_threshold(truths)
 
 
+def phase_cells(
+    pd: PhaseDiagramSpec, skip_cells: set[tuple[int, int]] | None = None
+) -> Iterator[PhaseCell]:
+    """Run every (m, t) cell not in skip_cells, m-major, and yield each cell
+    as soon as its last repetition finishes. Both the builtin and the pool's
+    map return results in item order, so a cell is the next pd.reps results."""
+    skip = skip_cells or set()
+    cells = [
+        (m, t, phase_cell_threshold(pd, m, t))
+        for m in pd.m_values for t in pd.t_values if (m, t) not in skip
+    ]
+    items = [(pd, m, t, rep, thr) for m, t, thr in cells for rep in range(pd.reps)]
+    pool = None
+    if pd.threads > 1 and len(items) > 1:
+        pool = ProcessPoolExecutor(max_workers=pd.threads)
+    results = pool.map(_phase_rep, items, chunksize=1) if pool else map(_phase_rep, items)
+    try:
+        for m, t, threshold in cells:
+            reps = list(islice(results, pd.reps))
+            ranks = tuple(rank for rank, _ in reps)
+            yield PhaseCell(
+                m=m,
+                t=t,
+                recovery_probability=sum(1 for r in ranks if r == t) / pd.reps,
+                ranks=ranks,
+                threshold=threshold,
+                warnings=tuple(w for _, warns in reps for w in warns),
+            )
+    finally:
+        if pool:
+            # An interrupted sweep stops now instead of running the rest.
+            pool.shutdown(cancel_futures=True)
+
+
 def run_phase_diagram(
     pd: PhaseDiagramSpec, skip_cells: set[tuple[int, int]] | None = None
 ) -> list[PhaseCell]:
-    """Run every (m, t) cell; cells listed in skip_cells are omitted (used
-    by the CLI to resume an interrupted sweep)."""
-    skip = skip_cells or set()
-    items = []
-    thresholds = {}
-    for m in pd.m_values:
-        for t in pd.t_values:
-            if (m, t) in skip:
-                continue
-            thresholds[(m, t)] = phase_cell_threshold(pd, m, t)
-            items.extend(
-                (pd, m, t, rep, thresholds[(m, t)]) for rep in range(pd.reps)
-            )
-    if pd.threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=pd.threads) as pool:
-            results = list(pool.map(_phase_rep, items, chunksize=1))
-    else:
-        results = [_phase_rep(it) for it in items]
-    by_cell: dict[tuple[int, int], dict] = {}
-    for m, t, rep, rank, warns in results:
-        cell = by_cell.setdefault((m, t), {"ranks": {}, "warnings": []})
-        cell["ranks"][rep] = rank
-        cell["warnings"].extend(warns)
-    cells = []
-    for m in pd.m_values:
-        for t in pd.t_values:
-            if (m, t) in skip:
-                continue
-            info = by_cell[(m, t)]
-            ranks = tuple(info["ranks"][rep] for rep in range(pd.reps))
-            prob = sum(1 for r in ranks if r == t) / pd.reps
-            cells.append(
-                PhaseCell(
-                    m=m,
-                    t=t,
-                    recovery_probability=prob,
-                    ranks=ranks,
-                    threshold=thresholds[(m, t)],
-                    warnings=tuple(info["warnings"]),
-                )
-            )
-    return cells
+    """Run every (m, t) cell; cells listed in skip_cells are omitted."""
+    return list(phase_cells(pd, skip_cells))
 
 
 def markov_bound_trial(
@@ -309,13 +304,11 @@ def markov_bound_trial(
         truth = synth_lowrank_lambda(
             m, n_bags, min(m, n_bags), derive_seed(seed, trial, "lambda")
         )
-        true_densities = densities_from_matrix(truth, spec, grid, engine=engine)
         total = 0.0
-        for i, dens in enumerate(true_densities):
-            samples, _ = rejection_sample(
-                dens, spec, grid, n_per_bag, derive_seed(seed, trial, "instances", i)
-            )
-            stats = suff_stats(samples, spec, truth.bag_ids[i])
+        for dens, samples in _sample_columns(
+            truth, spec, grid, engine, n_per_bag, (seed, trial)
+        ):
+            stats = suff_stats(samples, spec, dens.bag_id)
             fitted, _ = fit_sde_relaxed(stats, spec, grid, newton, engine=engine)
             total += stats.n * kl(fitted, dens)
         sums[trial] = total
@@ -337,21 +330,19 @@ def synth_bags_from_matrix(
     """Sample one bag of instances per column of a parameter matrix."""
     from .mil import Bag, LabeledBagDataset
 
-    engine = BasisGrid(spec, grid)
-    densities = densities_from_matrix(matrix, spec, grid, engine=engine)
-    bags = []
-    for i, dens in enumerate(densities):
-        samples, _ = rejection_sample(
-            dens, spec, grid, n_per_bag, derive_seed(seed, "instances", i)
-        )
-        bags.append(
+    columns = _sample_columns(
+        matrix, spec, grid, BasisGrid(spec, grid), n_per_bag, (seed,)
+    )
+    return LabeledBagDataset(
+        bags=tuple(
             Bag(
-                bag_id=matrix.bag_ids[i],
+                bag_id=dens.bag_id,
                 label=None if labels is None else labels[i],
                 instances=samples,
             )
+            for i, (dens, samples) in enumerate(columns)
         )
-    return LabeledBagDataset(bags=tuple(bags))
+    )
 
 
 def synth_two_class_bags(

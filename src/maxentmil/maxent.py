@@ -121,9 +121,9 @@ class BasisGrid:
     density query, so solvers construct one BasisGrid and reuse it for
     every bag and every iteration.
 
-    The batched kernels (log_partition_many, logz_and_mean_many) compute in
-    a reusable (Q, N) workspace (see _workspace) and return fresh arrays
-    that never alias it.
+    The kernels (log_partition_many, logz_and_mean_many, and log_partition
+    and node_probs as their one-column case) compute in a reusable (Q, N)
+    workspace (see _workspace) and return fresh arrays that never alias it.
     """
 
     def __init__(self, spec, grid: IntegrationGrid):
@@ -136,21 +136,15 @@ class BasisGrid:
     def m(self) -> int:
         return self.phi.shape[1]
 
-    def _scores(self, lam: np.ndarray) -> np.ndarray:
-        return self.phi @ lam + self.logw
-
     def log_partition(self, lam: np.ndarray) -> float:
-        a = self._scores(lam)
-        shift = a.max()
-        return float(shift + np.log(np.exp(a - shift).sum()))
+        e, shift = self._shifted_exp(lam[:, None])
+        return float(shift[0] + np.log(e[:, 0].sum()))
 
     def node_probs(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """logZ and the node probabilities w_q * exp(lam.phi_q - logZ)."""
-        a = self._scores(lam)
-        shift = a.max()
-        e = np.exp(a - shift)
-        total = e.sum()
-        return float(shift + np.log(total)), e / total
+        e, shift = self._shifted_exp(lam[:, None])
+        total = e[:, 0].sum()
+        return float(shift[0] + np.log(total)), e[:, 0] / total
 
     def moments(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """logZ, feature mean and feature covariance under the density."""
@@ -299,8 +293,9 @@ def fit_sde(
 
 
 def _density(stats: SufficientStats, spec, lam, logz, mean) -> MEDensity:
-    key = spec.key if hasattr(spec, "key") else ("basis", stats.m)
-    return MEDensity(bag_id=stats.bag_id, lam=lam, logZ=logz, mean_phi=mean, basis_key=key)
+    return MEDensity(
+        bag_id=stats.bag_id, lam=lam, logZ=logz, mean_phi=mean, basis_key=spec.key
+    )
 
 
 def _newton_stalled(stats, tol, max_iters, iterates) -> ConvergenceError:
@@ -398,14 +393,13 @@ def densities_from_columns(
     eng = as_engine(spec, grid, engine)
     data = np.asarray(data, dtype=float)
     logz, means = eng.logz_and_mean_many(data)
-    key = spec.key if hasattr(spec, "key") else ("basis", eng.m)
     return [
         MEDensity(
             bag_id=bag_ids[i],
             lam=data[:, i],
             logZ=float(logz[i]),
             mean_phi=means[:, i],
-            basis_key=key,
+            basis_key=spec.key,
         )
         for i in range(data.shape[1])
     ]

@@ -144,9 +144,19 @@ class Standardizer:
 
 
 def standardize_fit(pooled: np.ndarray) -> Standardizer:
+    """Per-axis mean and spread of the pooled instances. Raises ValueError
+    naming the first axis whose spread is not finite: deviations beyond
+    about 1e154 square past the float range."""
     pooled = np.asarray(pooled, dtype=float)
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = pooled.mean(axis=0)
+        std = pooled.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        raise ValueError(
+            f"axis {bad[0]} of the training instances is too wide to standardize: "
+            "its spread overflows the float range"
+        )
     scale = np.where(std > 1e-12, std, 1.0)
     return Standardizer(mean=mean, scale=scale)
 

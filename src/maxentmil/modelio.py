@@ -222,6 +222,15 @@ def write_matrix_csv(matrix: np.ndarray, bag_ids, path):
             writer.writerow([bid, *[repr(float(v)) for v in row]])
 
 
+def write_csv_table(path, columns, rows):
+    """Header of the column names, then each dict row's values in column
+    order: str() of each, comma-separated, unquoted, LF line endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+
+
 def read_matrix_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

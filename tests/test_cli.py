@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,12 +289,38 @@ class TestPhaseDiagramCommand:
         assert rows[0]["recovery_probability"] == 0.75  # planted cell survived
 
 
+    def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
+        import maxentmil.experiments as experiments
+
+        args = ("--m-values", "8,10", "--solver", "cmen")
+        whole = tmp_path / "whole"
+        assert main(self.run_args(whole, args)) == 0
+
+        real_rep = experiments._phase_rep
+
+        def fail_in_second_cell(item):
+            if item[1] == 10:
+                raise KeyboardInterrupt
+            return real_rep(item)
+
+        out = tmp_path / "resumed"
+        monkeypatch.setattr(experiments, "_phase_rep", fail_in_second_cell)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.run_args(out, args))
+        assert (out / "cells" / "cmen_m8_T2.json").exists()
+        assert not (out / "cells" / "cmen_m10_T2.json").exists()
+
+        monkeypatch.setattr(experiments, "_phase_rep", real_rep)
+        assert main(self.run_args(out, args)) == 0
+        for name in ("grid_cmen.json", "grid_cmen.csv"):
+            assert (out / name).read_bytes() == (whole / name).read_bytes()
+
     def test_flag_over_config_over_default(self, tmp_path, monkeypatch):
         from maxentmil.maxent import NewtonConfig
         from maxentmil.solvers import CmenaConfig
 
         seen = {}
-        monkeypatch.setattr(cli, "run_phase_diagram", _stop_with(seen, "spec"))
+        monkeypatch.setattr(cli, "phase_cells", _stop_with(seen, "spec"))
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "m_values": [8], "t_values": [3], "reps": 4, "newton": {"grad_tol": 1e-5},
@@ -453,6 +480,27 @@ def test_classify_rejects_grid_too_coarse_for_basis(bag_file, tmp_path, capsys):
         "the 3-point tensor grid is too coarse for the basis: axis 0 is 4.953 wide, "
         "over its limit of 4.054" in capsys.readouterr().err
     )
+
+
+def test_classify_rejects_axis_too_wide_to_standardize(bag_file, tmp_path, capsys):
+    # The spread of an axis holding 1e300 overflows; the axis must not
+    # silently standardize to 0.
+    path, _ = bag_file
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["instances"][0][1] = 1e300
+    far = tmp_path / "far.jsonl"
+    far.write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["classify", str(far), str(path), "--out", str(out), "--m", "8"])
+    assert code == 1
+    assert (
+        "axis 1 of the training instances is too wide to standardize"
+        in capsys.readouterr().err
+    )
+    assert not (out / "predictions.jsonl").exists()
 
 
 @pytest.mark.parametrize(
