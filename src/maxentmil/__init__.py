@@ -55,7 +55,6 @@ from .solvers import (
     fit_mde,
     fit_rmde,
     g_and_grad,
-    line_search,
     lipschitz_tau,
     prox_step,
     psi_basis,

@@ -12,7 +12,6 @@ import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .basis import check_grid_resolution, domain_from_data, make_auto_grid, make_basis
 from .maxent import (
@@ -171,14 +170,33 @@ def standardize_apply(std: Standardizer, dataset: LabeledBagDataset) -> LabeledB
 
 
 def _directed_min_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum over rows of a of the distance to the nearest row of b,
-    chunked so the pairwise block stays within memory."""
-    rows_per_chunk = max(1, 32_000_000 // max(b.shape[0], 1))
-    total = 0.0
+    """Sum over rows of a of the Euclidean distance to the nearest row of b.
+
+    Squared distances accumulate one coordinate at a time, in order, as in
+    scipy's cdist, whose distances this matches bit for bit. Rows go in
+    chunks whose (rows, len(b)) block and scratch (512 KB together) stay in
+    a core's cache, so the time grows as len(a) * len(b). The square root
+    is taken of each row's minimum only (it is monotone, so the result is
+    the same), and the minima are summed once, so the total does not
+    depend on the chunks.
+    """
+    rows_per_chunk = max(1, 32_768 // max(b.shape[0], 1))
+    cols = np.ascontiguousarray(b.T)
+    nearest = np.empty(a.shape[0])
+    # One allocation for block and scratch: freeing two could trim the heap
+    # and make every call fault its pages in again.
+    block, diff = np.empty((2, min(rows_per_chunk, a.shape[0]), b.shape[0]))
     for start in range(0, a.shape[0], rows_per_chunk):
-        block = cdist(a[start : start + rows_per_chunk], b)
-        total += float(block.min(axis=1).sum())
-    return total
+        rows = a[start : start + rows_per_chunk]
+        sq, tmp = block[: rows.shape[0]], diff[: rows.shape[0]]
+        np.subtract(rows[:, 0, None], cols[0], out=sq)
+        sq *= sq
+        for k in range(1, a.shape[1]):
+            np.subtract(rows[:, k, None], cols[k], out=tmp)
+            tmp *= tmp
+            sq += tmp
+        sq.min(axis=1, out=nearest[start : start + rows.shape[0]])
+    return float(np.sqrt(nearest, out=nearest).sum())
 
 
 def avg_hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -46,9 +46,10 @@ JOINT_SOLVERS = ("mde", "rmde", "rmde-continuation", "rmde-cv", "cmen")
 
 DEFAULT_CV_ETAS = tuple(10.0**k for k in range(-4, 5))
 
-# CMENA step control. Each line-search round multiplies tau by LS_ALPHA
-# (growing back divides by it); tau never drops below TAU_FLOOR times the
-# round's starting value.
+# CMENA step control. Each proximal step first tries tau = LS_ALPHA times
+# the previous step's accepted tau (an optimistic, longer step), never below
+# TAU_FLOOR times the Lipschitz bound; a rejected probe grows tau back
+# toward that bound.
 LS_ALPHA = 0.7
 TAU_FLOOR = 1e-3
 
@@ -84,8 +85,9 @@ class LambdaMatrix:
 class CmenaConfig:
     """The confidence multiplier a (eps = a*N*m/2) and the stopping rule
     MaxIter <= 100, objTol < 1e-2, consTol < 1e-1 of the joint solvers.
-    The step control (LS_ALPHA, TAU_FLOOR) and the dual bracket, which
-    starts at [0, 1], are fixed."""
+    The step control (line_search's backtracking from LS_ALPHA times the
+    last accepted tau, floored at TAU_FLOOR times the Lipschitz bound) and
+    the dual bracket, which starts at [0, 1], are fixed."""
 
     a: float = 1.0
     max_outer: int = 30
@@ -118,6 +120,10 @@ class FitReport:
     tau_used: float | None = None
     tau_unweighted: float | None = None
     wall_time: float = 0.0
+    # Work counters, filled by fit_cmen: proximal candidates evaluated, and
+    # likelihood-kernel calls (log_partition_many + logz_and_mean_many).
+    probes: int | None = None
+    kernel_calls: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +139,8 @@ class FitReport:
             "tau_used": None if self.tau_used is None else float(self.tau_used),
             "tau_unweighted": None if self.tau_unweighted is None else float(self.tau_unweighted),
             "wall_time": float(self.wall_time),
+            "probes": None if self.probes is None else int(self.probes),
+            "kernel_calls": None if self.kernel_calls is None else int(self.kernel_calls),
         }
 
 
@@ -149,6 +157,7 @@ class _JointProblem:
         self.ns = np.array([s.n for s in stats_list], dtype=float)
         self.phi_bars = np.column_stack([s.phi_bar for s in stats_list])
         self.bag_ids = tuple(s.bag_id for s in stats_list)
+        self.kernel_calls = 0
 
     @property
     def n_bags(self) -> int:
@@ -156,10 +165,12 @@ class _JointProblem:
 
     def nll(self, data: np.ndarray) -> float:
         """Total scaled negative log-likelihood sum_i n_i (Z_i - l_i.phibar_i)."""
+        self.kernel_calls += 1
         logz = self.engine.log_partition_many(data)
         return float(self.ns @ (logz - np.einsum("mi,mi->i", data, self.phi_bars)))
 
     def nll_and_grad(self, data: np.ndarray) -> tuple[float, np.ndarray]:
+        self.kernel_calls += 1
         logz, means = self.engine.logz_and_mean_many(data)
         val = float(self.ns @ (logz - np.einsum("mi,mi->i", data, self.phi_bars)))
         grad = (means - self.phi_bars) * self.ns[None, :]
@@ -305,84 +316,79 @@ def _majorized(g_cand, g_bar, diff, grad_bar, tau) -> bool:
 def line_search(
     lambda_bar: np.ndarray,
     z: float,
-    tau_start: float,
-    g_fn,
+    tau_prev: float,
+    tau_lip: float,
+    g_and_grad,
     g_bar: float,
     grad_bar: np.ndarray,
-) -> tuple[float, np.ndarray, bool, float]:
-    """Grow the step (shrink tau) while the quadratic majorization holds.
+) -> tuple[float, np.ndarray, bool, float, np.ndarray, int]:
+    """One backtracking proximal step from lambda_bar.
 
-    Starting from tau_start, each round multiplies tau by LS_ALPHA, forms
-    the proximal candidate at the smaller tau, and keeps it only while
-    L(cand, z) <= Q(cand, lambda_bar) still holds; the last validated
-    candidate wins. tau never drops below TAU_FLOOR * tau_start.
+    The first probe is optimistic: tau = max(LS_ALPHA * tau_prev,
+    TAU_FLOOR * tau_lip), at most tau_lip. Each probe forms the proximal
+    candidate at tau and evaluates g and its gradient there with one
+    g_and_grad call; the first candidate with L(cand, z) <= Q(cand,
+    lambda_bar) is accepted. A rejected probe grows tau toward tau_lip by
+    a factor that starts at 1/LS_ALPHA and squares each round.
+    Backtracking from an optimistic step as in Beck & Teboulle (2009) and
+    Scheinberg, Goldfarb & Bai (2014).
 
-    Returns (accepted tau, accepted candidate, whether the accepted
-    candidate satisfies the majorization, g at the accepted candidate).
-    The flag can only be False if tau_start itself is below the true
-    curvature.
+    Returns (accepted tau, accepted candidate, whether it satisfies the
+    majorization, g and its gradient at the candidate, probes made). The
+    flag is False only if the candidate at tau_lip itself fails, which
+    then is the one returned.
     """
-    if tau_start <= 0:
-        raise ValueError("tau_start must be positive")
-    tau = tau_start
-    cand = _prox_data(lambda_bar, z, tau, grad_bar)
-    g_cand = g_fn(cand)
-    ok = _majorized(g_cand, g_bar, cand - lambda_bar, grad_bar, tau)
-    if not ok:
-        return tau, cand, False, g_cand
+    if tau_prev <= 0 or tau_lip <= 0:
+        raise ValueError("tau_prev and tau_lip must be positive")
+    tau = min(max(LS_ALPHA * tau_prev, TAU_FLOOR * tau_lip), tau_lip)
+    grow = 1.0 / LS_ALPHA
+    probes = 0
     while True:
-        tau_next = LS_ALPHA * tau
-        if tau_next < TAU_FLOOR * tau_start:
-            break
-        cand_next = _prox_data(lambda_bar, z, tau_next, grad_bar)
-        g_next = g_fn(cand_next)
-        if not _majorized(g_next, g_bar, cand_next - lambda_bar, grad_bar, tau_next):
-            break
-        tau, cand, g_cand = tau_next, cand_next, g_next
-    return tau, cand, True, g_cand
+        cand = _prox_data(lambda_bar, z, tau, grad_bar)
+        g_cand, grad_cand = g_and_grad(cand)
+        probes += 1
+        ok = _majorized(g_cand, g_bar, cand - lambda_bar, grad_bar, tau)
+        if ok or tau >= tau_lip:
+            return tau, cand, ok, g_cand, grad_cand, probes
+        tau = min(tau * grow, tau_lip)
+        grow = grow * grow
 
 
 def _cmen_inner(
     prob: _JointProblem,
     nll_hat: float,
-    init: np.ndarray,
+    start: tuple,
     z: float,
-    tau_start: float,
     tau_lip: float,
     max_inner: int,
     cfg: CmenaConfig,
-) -> tuple[np.ndarray, int, bool, float, float, float]:
+) -> tuple[tuple, int, int, bool, float]:
     """Proximal gradient with an adaptive step on |L|_* + z*(g(L) - eps) at
-    fixed z.
+    fixed z, from the warm state start = (iterate, tau, g, gradient).
 
-    Each step is one line-searched proximal step from the current iterate.
-    tau carries over from step to step: it shrinks while the majorization
-    holds and grows back toward tau_lip (by a factor that squares each
-    round) where it fails, so most steps cost a couple of constraint
-    evaluations. Stops when the iterate stops moving, when the Lagrangian
-    and g both stall, or after max_inner steps. Returns the last iterate,
-    the step count, whether every accepted step passed the majorization
-    check, the final tau, and g and the nuclear norm at the last iterate.
+    Each step is one line_search from the current iterate; the accepted
+    probe's g and gradient serve the next step, so a step costs one
+    likelihood-kernel call (logz_and_mean_many) per probe and the solve
+    makes no other. Stops when the iterate stops moving, when the
+    Lagrangian and g both stall, or after max_inner steps. Returns the
+    last state, the step and probe counts, whether every accepted step
+    passed the majorization check, and the last iterate's nuclear norm.
     """
 
     def g_of(data):
-        return prob.nll(data) - nll_hat
+        nll, grad = prob.nll_and_grad(data)
+        return nll - nll_hat, grad
 
-    cur = init
-    g_cur = g_of(cur)
+    cur, tau, g_cur, grad_cur = start
     nuc_cur = nuclear_norm(cur)
     lagr_cur = nuc_cur + z * g_cur
     all_ok = True
-    tau = tau_start
+    probes = 0
     for steps in range(1, max_inner + 1):
-        _, grad = prob.nll_and_grad(cur)
-        tau_try = tau
-        tau, cand, ok, g_cand = line_search(cur, z, tau_try, g_of, g_cur, grad)
-        grow = 1.0 / LS_ALPHA
-        while not ok and tau_try < tau_lip:
-            tau_try = min(tau_try * grow, tau_lip)
-            grow = grow * grow
-            tau, cand, ok, g_cand = line_search(cur, z, tau_try, g_of, g_cur, grad)
+        tau, cand, ok, g_cand, grad_cand, n = line_search(
+            cur, z, tau, tau_lip, g_of, g_cur, grad_cur
+        )
+        probes += n
         all_ok = all_ok and ok
         nuc_cand = nuclear_norm(cand)
         lagr_cand = nuc_cand + z * g_cand
@@ -390,7 +396,7 @@ def _cmen_inner(
         delta_g = abs(g_cand - g_cur)
         moved = float(np.linalg.norm(cand - cur))
         scale = max(1.0, float(np.linalg.norm(cur)))
-        cur, g_cur, nuc_cur, lagr_cur = cand, g_cand, nuc_cand, lagr_cand
+        cur, g_cur, grad_cur, nuc_cur, lagr_cur = cand, g_cand, grad_cand, nuc_cand, lagr_cand
         # Near-stationary for this z: the iterate stopped moving.
         if moved <= 1e-5 * scale:
             break
@@ -399,7 +405,7 @@ def _cmen_inner(
         # stall must be joint.
         if delta_lagr < cfg.obj_tol and delta_g < 0.1 * cfg.cons_tol:
             break
-    return cur, steps, all_ok, tau, g_cur, nuc_cur
+    return (cur, tau, g_cur, grad_cur), steps, probes, all_ok, nuc_cur
 
 
 def fit_cmen(
@@ -432,9 +438,11 @@ def fit_cmen(
     tau0 = lipschitz_tau(stats_list, m)
     report = FitReport(solver="cmen", tau_used=tau0, tau_unweighted=float(n_bags * m))
 
-    nll_hat = prob.nll(lambda_hat.data)
+    nll_hat, grad_hat = prob.nll_and_grad(lambda_hat.data)
     zero = np.zeros_like(lambda_hat.data)
-    g_zero = prob.nll(zero) - nll_hat
+    nll_zero, grad_zero = prob.nll_and_grad(zero)
+    g_zero = nll_zero - nll_hat
+    report.probes = 0
     if g_zero <= eps:
         # The zero matrix is feasible, hence optimal (nuclear norm 0).
         report.objective_trace.append(0.0)
@@ -442,21 +450,23 @@ def fit_cmen(
         report.rank_trace.append(0)
         report.z_trace.append(0.0)
         report.inner_iters.append(0)
+        report.kernel_calls = prob.kernel_calls
         report.wall_time = time.perf_counter() - start
         return LambdaMatrix(data=zero, bag_ids=lambda_hat.bag_ids), report
 
     best = lambda_hat.data
     best_nuc = nuclear_norm(best)
     z_lo, z_hi = 0.0, 1.0
-    # Warm primal state per bracket endpoint: (iterate, accepted tau).
-    # The zero matrix is the exact solution of the z -> 0 end; the ML
-    # estimate anchors the high end. A midpoint is solved from BOTH
-    # endpoints on half budgets and the lower-Lagrangian result wins: the
-    # two endpoint families (near-zero vs near-ML boundary solutions) are
-    # cheap to approach from opposite sides, and the contest picks the
-    # cheap side automatically.
-    warm_lo = (zero, tau0)
-    warm_hi = (lambda_hat.data, tau0)
+    # Warm primal state per bracket endpoint: (iterate, accepted tau, g,
+    # gradient), so no solve evaluates its start again. The zero matrix is
+    # the exact solution of the z -> 0 end; the ML estimate (g = 0)
+    # anchors the high end. A midpoint is solved from BOTH endpoints on
+    # half budgets and the lower-Lagrangian result wins: the two endpoint
+    # families (near-zero vs near-ML boundary solutions) are cheap to
+    # approach from opposite sides, and the contest picks the cheap side
+    # automatically.
+    warm_lo = (zero, tau0, g_zero, grad_zero)
+    warm_hi = (lambda_hat.data, tau0, 0.0, grad_hat)
     bracketed = False
     converged = False
     for _ in range(cfg.max_outer):
@@ -466,14 +476,13 @@ def fit_cmen(
         else:
             z, budget, starts = z_hi, cfg.max_inner, (warm_hi,)
         trials = [
-            _cmen_inner(prob, nll_hat, init, z, tau_warm, tau0, budget, cfg)
-            for init, tau_warm in starts
+            _cmen_inner(prob, nll_hat, warm, z, tau0, budget, cfg) for warm in starts
         ]
         # The lower Lagrangian nuc + z*(g - eps) wins, the first on ties.
-        sol, _, ls_ok, tau_out, gval, nuc = min(
-            trials, key=lambda t: t[5] + z * (t[4] - eps)
-        )
+        state, _, _, ls_ok, nuc = min(trials, key=lambda t: t[4] + z * (t[0][2] - eps))
+        sol, gval = state[0], state[2]
         steps = sum(t[1] for t in trials)
+        report.probes += sum(t[2] for t in trials)
         report.objective_trace.append(nuc)
         report.constraint_trace.append(gval - eps)
         report.rank_trace.append(numeric_rank(sol, RANK_TOL))
@@ -487,7 +496,6 @@ def fit_cmen(
         if abs(gval - eps) < cfg.cons_tol:
             converged = True
             break
-        state = (sol, tau_out)
         if gval - eps >= 0:
             if bracketed:
                 z_lo, warm_lo = z, state
@@ -509,6 +517,7 @@ def fit_cmen(
             "outer budget exhausted before |g - eps| < cons_tol; "
             "returning the best feasible iterate"
         )
+    report.kernel_calls = prob.kernel_calls
     report.wall_time = time.perf_counter() - start
     return LambdaMatrix(data=best, bag_ids=lambda_hat.bag_ids), report
 

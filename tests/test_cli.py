@@ -115,6 +115,26 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert f"unknown config keys in {cfgfile} ({block}): {key}" in err
 
+    def test_cmen_report_counts_work(self, bag_file, tmp_path):
+        # report.json carries CMEN's work counters: every probe is one
+        # kernel call, plus one each at the two anchors (zero and the ML
+        # matrix); solvers that do not count them write null.
+        path, _ = bag_file
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"cmena": {"max_outer": 3}}))
+        out = tmp_path / "cmen"
+        assert main([
+            "fit", str(path), "--out", str(out), "--solver", "cmen", "--m", "8",
+            "--config", str(cfgfile),
+        ]) in (0, 2)
+        report = json.loads((out / "report.json").read_text())
+        assert report["probes"] >= sum(report["inner_iters"]) > 0
+        assert report["kernel_calls"] == report["probes"] + 2
+        out = tmp_path / "mde"
+        assert main(["fit", str(path), "--out", str(out), "--solver", "mde", "--m", "8"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["probes"] is None and report["kernel_calls"] is None
+
     def test_fit_load_ranks_agree_with_inprocess(self, bag_file, tmp_path):
         from maxentmil.lowrank import numeric_rank
         from maxentmil.basis import domain_from_data, make_auto_grid, make_basis
@@ -547,6 +567,24 @@ def test_synth_fit_bound_check_end_to_end(tmp_path):
         "--n-per-bag", "120", "--trials", "50", "--a-values", "2,5",
     ]) == 0
     assert time.perf_counter() - t0 < 300
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that
+    # imports the command line (and with it every module of the package)
+    # loads no scipy module.
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import maxentmil.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threads_env_mirror(monkeypatch):

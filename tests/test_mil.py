@@ -93,6 +93,30 @@ class TestAvgHausdorff:
         expected = (forward + backward) / (13 + 9)
         assert avg_hausdorff(a, b) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 7, 8, 33])
+    def test_bitwise_equal_to_cdist(self, rng, d):
+        # Distances accumulate per coordinate in cdist's order; a reduction
+        # over the coordinate axis would differ in the last bits from d = 8.
+        # Between two single points the average Hausdorff distance is their
+        # distance, exactly.
+        from scipy.spatial.distance import cdist
+
+        a = rng.standard_normal((21, d)) * 3.0
+        b = rng.standard_normal((17, d))
+        pairwise = [[avg_hausdorff(x[None], y[None]) for y in b] for x in a]
+        np.testing.assert_array_equal(pairwise, cdist(a, b))
+        expected = (
+            float(cdist(a, b).min(axis=1).sum()) + float(cdist(b, a).min(axis=1).sum())
+        ) / (21 + 17)
+        assert avg_hausdorff(a, b) == expected
+        # Bags large enough to be processed in many row chunks.
+        a = rng.standard_normal((300, d))
+        b = rng.standard_normal((2000, d))
+        expected = (
+            float(cdist(a, b).min(axis=1).sum()) + float(cdist(b, a).min(axis=1).sum())
+        ) / (300 + 2000)
+        assert avg_hausdorff(a, b) == expected
+
     def test_symmetric(self, rng):
         a = rng.standard_normal((8, 2))
         b = rng.standard_normal((5, 2))

@@ -242,42 +242,91 @@ class TestLineSearch:
         a = rng.standard_normal((5, 4))
         bar = rng.standard_normal((5, 4))
 
-        def g_fn(y):
-            return 0.5 * curv * float(np.linalg.norm(y - a) ** 2)
+        def g_and_grad(y):
+            return 0.5 * curv * float(np.linalg.norm(y - a) ** 2), curv * (y - a)
 
-        grad_bar = curv * (bar - a)
-        return bar, g_fn, g_fn(bar), grad_bar
+        g_bar, grad_bar = g_and_grad(bar)
+        return bar, g_and_grad, g_bar, grad_bar
 
     def test_accepts_within_one_alpha_factor(self, rng):
+        # The first probe sits just below the curvature and fails; one
+        # growth by 1/LS_ALPHA clears it.
         curv = 2.0
-        bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        tau, cand, ok, _ = line_search(bar, 1.0, 8.0, g_fn, g_bar, grad_bar)
-        assert ok
+        bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
+        tau_prev = 0.9 * curv / LS_ALPHA
+        tau, _, ok, _, _, probes = line_search(
+            bar, 1.0, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
+        )
+        assert ok and probes == 2
         assert curv <= tau <= curv / LS_ALPHA + 1e-9
 
     def test_exact_curvature_start_keeps_tau(self, rng):
+        # A first probe at or above the curvature is accepted as is.
         curv = 3.0
-        bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        tau, _, ok, _ = line_search(bar, 1.0, curv, g_fn, g_bar, grad_bar)
-        assert ok and tau == pytest.approx(curv)
+        bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
+        for start in (curv, 8.0):
+            tau, _, ok, _, _, probes = line_search(
+                bar, 1.0, start / LS_ALPHA, 100.0, g_and_grad, g_bar, grad_bar
+            )
+            assert ok and probes == 1 and tau == pytest.approx(start)
 
     def test_accepted_candidate_satisfies_majorization(self, rng):
         curv = 2.0
-        bar, g_fn, g_bar, grad_bar = self.setup_quadratic(rng, curv)
-        tau, cand, ok, g_cand = line_search(bar, 0.5, 10.0, g_fn, g_bar, grad_bar)
-        diff = cand - bar
-        quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
-            np.vdot(diff, diff)
-        )
-        assert ok and g_cand <= quad + 1e-9
+        bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
+        for tau_prev in (1e-3, 0.5, 10.0):
+            tau, cand, ok, g_cand, _, _ = line_search(
+                bar, 0.5, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
+            )
+            diff = cand - bar
+            quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
+                np.vdot(diff, diff)
+            )
+            assert ok and g_cand <= quad + 1e-9
 
     def test_floor_bounds_shrinkage(self, rng):
-        # Flat objective validates every shrink; the floor must stop it.
+        # A flat objective accepts every probe: tau still stays within
+        # [TAU_FLOOR * tau_lip, tau_lip] from any previous tau.
         bar, _, _, _ = self.setup_quadratic(rng, 1.0)
-        tau, _, ok, _ = line_search(
-            bar, 1.0, 64.0, lambda y: 0.0, 0.0, np.zeros_like(bar)
-        )
-        assert ok and tau >= TAU_FLOOR * 64.0
+        tau_lip = 64.0
+
+        def flat(y):
+            return 0.0, np.zeros_like(y)
+
+        for tau_prev, expected in ((1e-9, TAU_FLOOR * tau_lip), (1e9, tau_lip)):
+            tau, _, ok, _, _, probes = line_search(
+                bar, 1.0, tau_prev, tau_lip, flat, 0.0, np.zeros_like(bar)
+            )
+            assert ok and probes == 1 and tau == expected
+
+    def test_returns_value_and_gradient_at_candidate(self, hat_and_stats, engine2d_mod, rng):
+        # The accepted probe's g and gradient are those of the candidate,
+        # bit for bit, so the next step can use them as they are.
+        hat, stats = hat_and_stats
+        prob = solvers_mod._JointProblem(engine2d_mod, stats)
+        bar = hat.data + 0.3 * rng.standard_normal(hat.data.shape)
+        g_bar, grad_bar = prob.nll_and_grad(bar)
+        tau_lip = lipschitz_tau(stats, 8)
+        for tau_prev in (TAU_FLOOR * tau_lip, 0.1 * tau_lip):
+            _, cand, ok, g_cand, grad_cand, _ = line_search(
+                bar, 0.5, tau_prev, tau_lip, prob.nll_and_grad, g_bar, grad_bar
+            )
+            g_ref, grad_ref = prob.nll_and_grad(cand)
+            assert ok
+            assert g_cand == g_ref
+            np.testing.assert_array_equal(grad_cand, grad_ref)
+
+    def test_flag_false_only_when_tau_lip_fails(self, rng):
+        curv = 5.0
+        bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
+        # tau_lip below the curvature: every probe fails, the last at tau_lip.
+        tau, _, ok, _, _, _ = line_search(bar, 1.0, 1e-6, 4.0, g_and_grad, g_bar, grad_bar)
+        assert not ok and tau == 4.0
+        # tau_lip at or above it: growth from the floor always ends accepted.
+        for tau_lip in (curv, 50.0, 5e4):
+            tau, _, ok, _, _, _ = line_search(
+                bar, 1.0, 1e-6, tau_lip, g_and_grad, g_bar, grad_bar
+            )
+            assert ok and curv <= tau <= tau_lip
 
 
 def replay_bracket(report, cfg):
@@ -369,23 +418,41 @@ class TestFitCmen:
         assert r1.objective_trace == r2.objective_trace
         assert r1.constraint_trace == r2.constraint_trace
 
-    def test_one_gradient_per_inner_step(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
-        # Every inner step is a proximal step from the current iterate: one
-        # gradient each, and none at an extrapolated point.
+    def test_one_kernel_call_per_probe(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+        # Each probe of each inner solve is one logz_and_mean_many call, and
+        # the inner loop never calls log_partition_many; beyond the probes
+        # fit_cmen evaluates only its two anchors, zero and lambda_hat. The
+        # report's counters equal the calls the engine saw.
         hat, stats = hat_and_stats
-        calls = []
-        original = solvers_mod._JointProblem.nll_and_grad
+        calls = {"log_partition_many": 0, "logz_and_mean_many": 0}
+        for name in calls:
 
-        def counting(self, data):
-            calls.append(1)
-            return original(self, data)
+            def counting(data, original=getattr(engine2d_mod, name), name=name):
+                calls[name] += 1
+                return original(data)
 
-        monkeypatch.setattr(solvers_mod._JointProblem, "nll_and_grad", counting)
+            monkeypatch.setattr(engine2d_mod, name, counting)
+        solves = []
+        original_inner = solvers_mod._cmen_inner
+
+        def recording(*args, **kwargs):
+            before = dict(calls)
+            out = original_inner(*args, **kwargs)
+            solves.append({k: calls[k] - before[k] for k in calls} | {"probes": out[2]})
+            return out
+
+        monkeypatch.setattr(solvers_mod, "_cmen_inner", recording)
         _, report = fit_cmen(
             stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
         )
-        assert sum(report.inner_iters) > 0
-        assert len(calls) == sum(report.inner_iters)
+        assert solves and sum(report.inner_iters) > 0
+        for solve in solves:
+            assert solve["log_partition_many"] == 0
+            assert solve["logz_and_mean_many"] == solve["probes"]
+        assert report.probes == sum(s["probes"] for s in solves) >= sum(report.inner_iters)
+        assert calls["log_partition_many"] == 0
+        assert calls["logz_and_mean_many"] == report.probes + 2
+        assert report.kernel_calls == sum(calls.values())
 
     @pytest.mark.slow
     def test_synthetic_rank_recovery_majority(self):
