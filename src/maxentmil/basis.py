@@ -110,8 +110,8 @@ class BasisSpec:
             raise ValueError(f"expected points of shape (n, {self.d}), got {points.shape}")
         proj = points @ self.freqs.T
         out = np.empty((points.shape[0], self.m))
-        out[:, 0::2] = np.sin(proj)
-        out[:, 1::2] = np.cos(proj)
+        np.sin(proj, out=out[:, 0::2])
+        np.cos(proj, out=out[:, 1::2])
         return out
 
 

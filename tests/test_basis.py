@@ -59,6 +59,17 @@ class TestEvalBasis:
         out = eval_basis(spec, np.array([np.pi / 2, 5.0]))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
+    def test_batch_equals_contiguous_sin_cos(self, spec2d, rng):
+        # The batch writes sin and cos straight into the interleaved
+        # columns; the values are those of np.sin / np.cos of the
+        # projections, bit for bit, for small and large batches.
+        for n in (1, 7, 5000):
+            x = rng.uniform(-50, 50, size=(n, 2))
+            proj = x @ spec2d.freqs.T
+            out = spec2d.evaluate(x)
+            np.testing.assert_array_equal(out[:, 0::2], np.sin(proj))
+            np.testing.assert_array_equal(out[:, 1::2], np.cos(proj))
+
     def test_dimension_mismatch(self, spec2d):
         with pytest.raises(ValueError):
             eval_basis(spec2d, np.zeros(3))
