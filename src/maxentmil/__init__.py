@@ -52,7 +52,6 @@ from .solvers import (
     fit_cmen,
     fit_columns_relaxed,
     fit_joint,
-    fit_mde,
     fit_rmde,
     g_and_grad,
     lipschitz_tau,

@@ -87,13 +87,16 @@ def densities_from_matrix(
 
 
 def rejection_sample(
-    density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int
+    density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int,
+    engine: BasisGrid | None = None,
 ) -> tuple[np.ndarray, float]:
     """Draw n i.i.d. points from the density by rejection against a uniform
     proposal over the domain box.
 
     The envelope is 1.1x the largest unnormalized density over the grid
-    nodes; the 10% headroom covers peaks falling between nodes. Returns the
+    nodes; the 10% headroom covers peaks falling between nodes. The node
+    features come from the engine when one is passed for (spec, grid), and
+    are evaluated here otherwise; the samples are the same. Returns the
     samples and the realized acceptance rate. Raises DegenerateDensityError
     if acceptance stays under 1e-4 on the probe batch (density too peaked
     for the grid resolution).
@@ -101,7 +104,8 @@ def rejection_sample(
     if n < 1:
         raise ValueError("n must be >= 1")
     domain = grid.domain
-    log_env = np.log(1.1) + float((spec.evaluate(grid.nodes) @ density.lam).max())
+    phi = engine.phi if engine is not None else spec.evaluate(grid.nodes)
+    log_env = np.log(1.1) + float((phi @ density.lam).max())
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 4096)
     probe = max(50_000, 10 * n)
@@ -158,9 +162,7 @@ class PhaseDiagramSpec:
     domain_halfwidth: float = 3.0
     grid_points: int = 64
     cmena: CmenaConfig = field(default_factory=CmenaConfig)
-    # Desk-scale fits plateau above the library default gradient tolerance
-    # on ill-conditioned bags; 1e-6 still pins moments to ~1e-9.
-    newton: NewtonConfig = field(default_factory=lambda: NewtonConfig(grad_tol=1e-5))
+    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -192,7 +194,8 @@ def _sample_columns(matrix: LambdaMatrix, spec, grid, engine, n_per_bag, seed_pa
     densities = densities_from_matrix(matrix, spec, grid, engine=engine)
     for i, dens in enumerate(densities):
         samples, _ = rejection_sample(
-            dens, spec, grid, n_per_bag, derive_seed(*seed_parts, "instances", i)
+            dens, spec, grid, n_per_bag, derive_seed(*seed_parts, "instances", i),
+            engine=engine,
         )
         yield dens, samples
 
@@ -285,7 +288,7 @@ def markov_bound_trial(
     seed: int,
     d: int = 2,
     grid_points: int = 64,
-    newton: NewtonConfig = NewtonConfig(grad_tol=1e-5),
+    newton: NewtonConfig = NewtonConfig(),
 ) -> tuple[dict[float, float], np.ndarray]:
     """Monte Carlo check of the confidence bound.
 
@@ -437,7 +440,6 @@ def runtime_benchmark(
 
     d = 2
     grid = synth_box_grid(3.0, d, 64)
-    bench_newton = NewtonConfig(grad_tol=1e-5)
     tasks: dict = {}
     for n in n_linear:
         rng = np.random.default_rng(derive_seed(seed, n))
@@ -452,10 +454,7 @@ def runtime_benchmark(
         for i in range(n_densities):
             sub = bag[rng.integers(0, n, size=min(n, 500))]
             densities.append(
-                fit_sde_relaxed(
-                    suff_stats(sub, spec, f"d{i}"), spec, grid, bench_newton,
-                    engine=engine,
-                )[0]
+                fit_sde_relaxed(suff_stats(sub, spec, f"d{i}"), spec, grid, engine=engine)[0]
             )
         tasks[("kl_matrix", n)] = (
             lambda densities=densities: sym_kl_matrix(densities),

@@ -85,10 +85,16 @@ BACKTRACK_RHO = 0.5
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration budget and gradient inf-norm tolerance of fit_sde."""
+    """Iteration budget and gradient inf-norm tolerance of fit_sde.
+
+    grad_tol 1e-5 pins a bag's fitted feature mean to phi_bar within
+    1e-5 / n. Newton on an ill-conditioned bag can stall at a gradient of a
+    few 1e-6, so a tighter default would only send such bags down
+    fit_sde_relaxed's ladder. Every fitter and harness uses this default.
+    """
 
     max_iters: int = 50
-    grad_tol: float = 1e-8
+    grad_tol: float = 1e-5
 
     def __post_init__(self):
         if min(self.max_iters, self.grad_tol) <= 0:
@@ -315,29 +321,28 @@ def fit_sde_relaxed(
     grid,
     cfg: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
-    max_relax: int = MAX_RELAX,
 ) -> tuple[MEDensity, list[str]]:
     """fit_sde with a tolerance-relaxation ladder.
 
     Ill-conditioned bags can plateau just above a tight gradient tolerance
-    (the Newton system hits float precision); experiment harnesses prefer a
-    slightly looser fit over a failed run. The rungs are grad_tol scaled by
-    10 up to max_relax times. The Newton path does not depend on the
-    tolerance, so one fit_sde pass serves every rung: when it stalls, the
-    first iterate meeting the tightest rung any iterate met is returned,
-    with a note naming the relaxation used.
+    (the Newton system hits float precision); every bag fit in the package
+    prefers a slightly looser, reported fit over a failed run. The rungs
+    are grad_tol scaled by 10 up to MAX_RELAX times. The Newton path does
+    not depend on the tolerance, so one fit_sde pass serves every rung:
+    when it stalls, the first iterate meeting the tightest rung any iterate
+    met is returned, with a note naming the relaxation used.
     """
     try:
         return fit_sde(stats, spec, grid, cfg, engine=engine), []
     except ConvergenceError as exc:
         iterates = exc.iterates
-    for level in range(1, max_relax + 1):
+    for level in range(1, MAX_RELAX + 1):
         tol = cfg.grad_tol * 10.0**level
         for grad_norm, lam, logz, mean in iterates:
             if grad_norm <= tol:
                 note = f"bag {stats.bag_id!r}: gradient tolerance relaxed to {tol:.1e}"
                 return _density(stats, spec, lam, logz, mean), [note]
-    raise _newton_stalled(stats, cfg.grad_tol * 10.0**max_relax, cfg.max_iters, iterates)
+    raise _newton_stalled(stats, cfg.grad_tol * 10.0**MAX_RELAX, cfg.max_iters, iterates)
 
 
 def _check_same_basis(p: MEDensity, q: MEDensity):

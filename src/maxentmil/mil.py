@@ -389,7 +389,7 @@ class PipelineConfig:
     mc_nodes: int = 20_000
     knn: CitationKnnConfig = field(default_factory=CitationKnnConfig)
     cmena: CmenaConfig = field(default_factory=CmenaConfig)
-    newton: NewtonConfig = field(default_factory=lambda: NewtonConfig(grad_tol=1e-5))
+    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if self.distance not in DISTANCES:

@@ -4,8 +4,9 @@ The solvers share one geometry: the (m, N) parameter matrix whose column
 i is bag i's density parameter.
 
 * fit_columns_relaxed — column-wise maximum likelihood (separable Newton
-                  fits, each down the tolerance-relaxation ladder); fit_mde
-                  is its strict form.
+                  fits, each down the tolerance-relaxation ladder); the one
+                  column fitter, and the anchor or start of every solver
+                  below that is not handed one.
 * fit_rmde      — likelihood plus eta * nuclear norm, by proximal gradient.
 * rmde_continuation — fit_rmde down a geometric eta ladder.
 * rmde_cross_validate — fit_rmde at the eta that wins a held-out bag split.
@@ -24,14 +25,13 @@ in-probability ceiling, so the constraint needs no tuning.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .lowrank import nuclear_norm, numeric_rank, singular_values, soft_threshold, svd
 from .maxent import (
-    MAX_RELAX,
     BasisGrid,
     NewtonConfig,
     SufficientStats,
@@ -126,22 +126,9 @@ class FitReport:
     kernel_calls: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "constraint_trace": [float(v) for v in self.constraint_trace],
-            "rank_trace": [int(v) for v in self.rank_trace],
-            "z_trace": [float(v) for v in self.z_trace],
-            "inner_iters": [int(v) for v in self.inner_iters],
-            "etas": [float(v) for v in self.etas],
-            "warnings": list(self.warnings),
-            "converged": bool(self.converged),
-            "tau_used": None if self.tau_used is None else float(self.tau_used),
-            "tau_unweighted": None if self.tau_unweighted is None else float(self.tau_unweighted),
-            "wall_time": float(self.wall_time),
-            "probes": None if self.probes is None else int(self.probes),
-            "kernel_calls": None if self.kernel_calls is None else int(self.kernel_calls),
-        }
+        """Every field by name; the solvers fill them with plain Python
+        scalars and lists, so the dict is JSON-ready as is."""
+        return asdict(self)
 
 
 class _JointProblem:
@@ -177,21 +164,28 @@ class _JointProblem:
         return val, grad
 
 
-def _fit_columns(
-    stats_list: list[SufficientStats], spec, grid, cfg, engine, max_relax: int
+def fit_columns_relaxed(
+    stats_list: list[SufficientStats],
+    spec,
+    grid,
+    cfg: NewtonConfig = NewtonConfig(),
+    engine: BasisGrid | None = None,
 ) -> tuple[LambdaMatrix, list[str]]:
-    """The column loop behind fit_mde and fit_columns_relaxed: one
-    fit_sde_relaxed per bag, then one ConvergenceError listing every bag
-    that failed at every rung."""
+    """Unrestricted ML estimate: the objective separates over bags, so each
+    column is an independent single-bag fit_sde_relaxed.
+
+    A bag whose Newton system plateaus above the requested gradient
+    tolerance is refit at a looser rung instead of failing the whole
+    matrix; the relaxations used are returned as notes. Raises one
+    ConvergenceError listing every bag that failed at every rung.
+    """
     if not stats_list:
         raise ValueError("need at least one bag")
     eng = as_engine(spec, grid, engine)
     columns, notes, failed, reasons = [], [], [], []
     for stats in stats_list:
         try:
-            dens, bag_notes = fit_sde_relaxed(
-                stats, spec, grid, cfg, engine=eng, max_relax=max_relax
-            )
+            dens, bag_notes = fit_sde_relaxed(stats, spec, grid, cfg, engine=eng)
         except ConvergenceError as exc:
             failed.append(stats.bag_id)
             reasons.append(str(exc))
@@ -207,40 +201,6 @@ def _fit_columns(
         data=np.column_stack(columns), bag_ids=tuple(s.bag_id for s in stats_list)
     )
     return matrix, notes
-
-
-def fit_mde(
-    stats_list: list[SufficientStats],
-    spec,
-    grid,
-    cfg: NewtonConfig = NewtonConfig(),
-    engine: BasisGrid | None = None,
-) -> LambdaMatrix:
-    """Unrestricted ML estimate at exactly cfg.grad_tol: the objective
-    separates over bags, so each column is an independent single-bag
-    Newton fit.
-
-    Raises one ConvergenceError listing every bag that failed.
-    """
-    return _fit_columns(stats_list, spec, grid, cfg, engine, max_relax=0)[0]
-
-
-def fit_columns_relaxed(
-    stats_list: list[SufficientStats],
-    spec,
-    grid,
-    cfg: NewtonConfig = NewtonConfig(),
-    engine: BasisGrid | None = None,
-) -> tuple[LambdaMatrix, list[str]]:
-    """Column-wise ML matrix with fit_sde_relaxed's tolerance-relaxation
-    ladder.
-
-    Unlike fit_mde, a bag whose Newton system plateaus above the requested
-    gradient tolerance is refit at a looser one instead of failing the
-    whole matrix; the relaxations used are returned as warnings. A bag
-    that fails at every rung still raises, as in fit_mde.
-    """
-    return _fit_columns(stats_list, spec, grid, cfg, engine, max_relax=MAX_RELAX)
 
 
 def g_and_grad(
@@ -426,17 +386,22 @@ def fit_cmen(
     both on half budgets, keeping the lower-Lagrangian result. Terminates
     when |g - eps| < cons_tol or the budgets run out, returning the
     feasible iterate with the smallest nuclear norm either way; budget
-    exhaustion is flagged in the report, never raised.
+    exhaustion is flagged in the report, never raised. Without lambda_hat
+    the anchor is fitted by fit_columns_relaxed, and its relaxation notes
+    open the report's warnings.
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
+    notes = []
     if lambda_hat is None:
-        lambda_hat = fit_mde(stats_list, spec, grid, newton, engine=eng)
+        lambda_hat, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
     prob = _JointProblem(eng, stats_list)
     n_bags, m = prob.n_bags, eng.m
     eps = epsilon_bound(n_bags, m, cfg.a)
     tau0 = lipschitz_tau(stats_list, m)
-    report = FitReport(solver="cmen", tau_used=tau0, tau_unweighted=float(n_bags * m))
+    report = FitReport(
+        solver="cmen", tau_used=tau0, tau_unweighted=float(n_bags * m), warnings=notes
+    )
 
     nll_hat, grad_hat = prob.nll_and_grad(lambda_hat.data)
     zero = np.zeros_like(lambda_hat.data)
@@ -540,17 +505,21 @@ def fit_rmde(
     obj_tol. Each iterate is evaluated once (the likelihood value comes
     with the gradient of the step taken from it) and decomposed once (its
     singular values give both the nuclear norm and the traced rank).
+    Without init the start is fit_columns_relaxed's matrix, and its
+    relaxation notes open the report's warnings.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
+    notes = []
     if init is None:
-        init = fit_mde(stats_list, spec, grid, newton, engine=eng)
+        init, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
     prob = _JointProblem(eng, stats_list)
     tau = lipschitz_tau(stats_list, eng.m)
     report = FitReport(
-        solver="rmde", tau_used=tau, tau_unweighted=float(prob.n_bags * eng.m), etas=[eta]
+        solver="rmde", tau_used=tau, tau_unweighted=float(prob.n_bags * eng.m), etas=[eta],
+        warnings=notes,
     )
 
     def trace(nll, data):
@@ -593,18 +562,21 @@ def rmde_continuation(
 
     eta starts at |L_hat|_F^2, decays by 10x per stage, floors at 1e-3 of
     the start, and every stage warm-starts from the previous solution; the
-    per-stage rank trace is kept in the report.
+    per-stage rank trace is kept in the report. Without lambda_hat the
+    ladder starts from fit_columns_relaxed's matrix, and its relaxation
+    notes open the report's warnings.
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
+    notes = []
     if lambda_hat is None:
-        lambda_hat = fit_mde(stats_list, spec, grid, newton, engine=eng)
+        lambda_hat, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
     eta0 = max(float(np.linalg.norm(lambda_hat.data) ** 2), 1e-12)
     eta_floor = 1e-3 * eta0
     etas = [eta0]
     while etas[-1] > eta_floor * (1.0 + 1e-9):
         etas.append(max(0.1 * etas[-1], eta_floor))
-    report = FitReport(solver="rmde-continuation", etas=etas)
+    report = FitReport(solver="rmde-continuation", etas=etas, warnings=notes)
     current = lambda_hat
     for eta in etas:
         current, stage = fit_rmde(

@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from maxentmil.basis import Domain, make_basis, make_tensor_grid
-from maxentmil.maxent import BasisGrid
+# One BLAS thread, as CI and perfbench run. This must come before numpy is
+# first imported (pytest itself does not import it): OpenBLAS reads these
+# variables once, when it loads. Timing criteria such as c13 compare ratios
+# that a multithreaded BLAS on a loaded machine distorts.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from maxentmil.basis import Domain, make_basis, make_tensor_grid  # noqa: E402
+from maxentmil.maxent import BasisGrid  # noqa: E402
 
 
 @pytest.fixture(scope="session")

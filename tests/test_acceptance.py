@@ -326,7 +326,7 @@ def test_c10_constraint_satisfaction():
             )
             stats.append(suff_stats(samples, spec, truth.bag_ids[i]))
         sol, report = fit_cmen(stats, spec, grid, cfg, newton, engine=engine)
-        hat = solvers_mod.fit_mde(stats, spec, grid, newton, engine=engine)
+        hat = solvers_mod.fit_columns_relaxed(stats, spec, grid, newton, engine=engine)[0]
         gval, _ = g_and_grad(sol, hat, stats, spec, grid, engine=engine)
         eps = epsilon_bound(len(stats), 8, cfg.a)
         feasible = gval <= eps + cfg.cons_tol
@@ -345,7 +345,7 @@ def test_c11_continuation_schedule():
     stats = [
         suff_stats(rng.uniform(-2, 2, (150, 2)), spec, f"b{i}") for i in range(5)
     ]
-    hat = solvers_mod.fit_mde(stats, spec, grid, newton, engine=engine)
+    hat = solvers_mod.fit_columns_relaxed(stats, spec, grid, newton, engine=engine)[0]
     _, report = rmde_continuation(
         stats, spec, grid, newton=newton, engine=engine, lambda_hat=hat
     )

@@ -363,6 +363,30 @@ class TestPhaseDiagramCommand:
         assert pd.cmena == CmenaConfig()
 
 
+@pytest.mark.parametrize(
+    "command, target, config_arg",
+    # evaluate_split(train, test, pipe) and phase_cells(pd, skip_cells=...)
+    [("classify", "evaluate_split", 2), ("phase-diagram", "phase_cells", 0)],
+)
+def test_default_newton_is_the_library_default(
+    bag_file, tmp_path, monkeypatch, command, target, config_arg
+):
+    # At their defaults, classify and phase-diagram fit bags with the
+    # library's NewtonConfig(), the one the pipeline and the sweep default to.
+    from maxentmil.experiments import PhaseDiagramSpec
+    from maxentmil.maxent import NewtonConfig
+
+    path, _ = bag_file
+    seen = {}
+    monkeypatch.setattr(cli, target, _stop_with(seen, "args"))
+    positionals = [str(path), str(path)] if command == "classify" else []
+    main([command, *positionals, "--out", str(tmp_path / "o")])
+    args, _ = seen["args"]
+    cfg = args[config_arg]
+    pd_default = PhaseDiagramSpec(n_bags=2, m_values=(8,), t_values=(2,), n_per_bag=10)
+    assert cfg.newton == NewtonConfig() == PipelineConfig().newton == pd_default.newton
+
+
 class TestBoundCheckCommand:
     def test_table_written(self, tmp_path):
         out = tmp_path / "bound"

@@ -87,6 +87,29 @@ class TestRejectionSample:
         np.testing.assert_array_equal(a, b)
         assert ra == rb
 
+    def test_engine_serves_node_features(self, spec2d, grid2d, engine2d, monkeypatch):
+        # With an engine the envelope reads its node features; the samples
+        # and the rate are those of the call without one.
+        from maxentmil.basis import BasisSpec
+
+        dens = densities_from_matrix(
+            LambdaMatrix(data=np.full((8, 1), 0.3), bag_ids=("b",)),
+            spec2d, grid2d, engine=engine2d,
+        )[0]
+        plain, plain_rate = rejection_sample(dens, spec2d, grid2d, 500, seed=4)
+        original = BasisSpec.evaluate
+        node_calls = []
+
+        def recording(self, x):
+            node_calls.append(x is grid2d.nodes)
+            return original(self, x)
+
+        monkeypatch.setattr(BasisSpec, "evaluate", recording)
+        samples, rate = rejection_sample(dens, spec2d, grid2d, 500, seed=4, engine=engine2d)
+        np.testing.assert_array_equal(samples, plain)
+        assert rate == plain_rate
+        assert node_calls and not any(node_calls)
+
     def test_degenerate_density_raises(self):
         # A density peaked far below the grid resolution: the envelope
         # misses the spike and acceptance collapses under 1e-4.

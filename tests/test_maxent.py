@@ -321,9 +321,7 @@ class TestFitSde:
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
         base = NewtonConfig(max_iters=4, grad_tol=1e-12)
-        dens, notes = fit_sde_relaxed(
-            st, spec2d, grid2d, base, engine=engine2d, max_relax=2
-        )
+        dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
         assert notes and "relaxed" in notes[0]
 
     def test_relaxed_ladder_is_one_newton_pass(self, spec2d, grid2d, engine2d, rng, monkeypatch):
@@ -344,7 +342,7 @@ class TestFitSde:
             fit_sde(st, spec2d, grid2d, base, engine=engine2d)
         strict = len(calls)
         calls.clear()
-        dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d, max_relax=2)
+        dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
         assert notes
         assert len(calls) == strict
         tol = float(notes[0].rsplit(" ", 1)[1])  # "... relaxed to 1.0e-10"

@@ -320,7 +320,7 @@ class TestKfold:
         test_idx = stratified_folds(ds, 10, seed=2)[0]
         train = ds.subset([i for i in range(len(ds.bags)) if i not in set(test_idx)])
         test = ds.subset(test_idx)
-        cfg = PipelineConfig(distance="kl-mde", newton=NewtonConfig())
+        cfg = PipelineConfig(distance="kl-mde", newton=NewtonConfig(grad_tol=1e-8))
         records = evaluate_split(train, test, cfg)
         assert [r["bag_id"] for r in records] == list(test.bag_ids)
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,11 @@ from maxentmil.solvers import (
     LS_ALPHA,
     TAU_FLOOR,
     CmenaConfig,
+    FitReport,
     LambdaMatrix,
     epsilon_bound,
     fit_cmen,
-    fit_mde,
+    fit_columns_relaxed,
     fit_rmde,
     g_and_grad,
     line_search,
@@ -74,21 +77,25 @@ def engine2d_mod(spec2d_mod, grid2d_mod):
 @pytest.fixture(scope="module")
 def hat_and_stats(small_problem, spec2d_mod, grid2d_mod, engine2d_mod):
     _, stats = small_problem
-    hat = fit_mde(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+    hat = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)[0]
     return hat, stats
 
 
 class TestFitMde:
     def test_single_bag_reduces_to_fit_sde(self, small_problem, spec2d_mod, grid2d_mod, engine2d_mod):
         _, stats = small_problem
-        single = fit_mde(stats[:1], spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+        single, _ = fit_columns_relaxed(
+            stats[:1], spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod
+        )
         direct = fit_sde(stats[0], spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
         np.testing.assert_allclose(single.data[:, 0], direct.lam, atol=1e-12)
 
     def test_permutation_permutes_columns(self, small_problem, spec2d_mod, grid2d_mod, engine2d_mod):
         _, stats = small_problem
-        a = fit_mde(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
-        b = fit_mde(stats[::-1], spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+        a, _ = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+        b, _ = fit_columns_relaxed(
+            stats[::-1], spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod
+        )
         np.testing.assert_allclose(a.data, b.data[:, ::-1], atol=1e-12)
         assert a.bag_ids == tuple(reversed(b.bag_ids))
 
@@ -109,8 +116,39 @@ class TestFitMde:
         _, stats = small_problem
         strict = NewtonConfig(max_iters=1, grad_tol=1e-14)
         with pytest.raises(ConvergenceError) as err:
-            fit_mde(stats, spec2d_mod, grid2d_mod, strict, engine=engine2d_mod)
+            fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, strict, engine=engine2d_mod)
         assert len(err.value.failed_bag_ids) == len(stats)
+
+
+class TestDefaultAnchor:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda *a, **k: fit_cmen(*a, CmenaConfig(max_outer=2, max_inner=5), **k),
+            lambda *a, **k: fit_rmde(*a, 1.0, CmenaConfig(max_inner=5), **k),
+            lambda *a, **k: rmde_continuation(*a, CmenaConfig(max_inner=5), **k),
+        ],
+        ids=["fit_cmen", "fit_rmde", "rmde_continuation"],
+    )
+    def test_relaxation_notes_reach_the_report(self, solve, spec2d_mod, grid2d_mod, engine2d_mod):
+        # Bags whose four Newton steps stall above grad_tol 1e-12: without
+        # an anchor the solver fits it down the relaxation ladder, as the
+        # column fitter does, and reports each relaxation instead of raising.
+        rng = np.random.default_rng(12345)
+        stats = [
+            suff_stats(rng.uniform(-2.9, 2.9, size=(400, 2)), spec2d_mod, f"s{i}")
+            for i in range(4)
+        ]
+        newton = NewtonConfig(max_iters=4, grad_tol=1e-12)
+        _, notes = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, newton, engine=engine2d_mod)
+        assert notes
+        _, report = solve(stats, spec2d_mod, grid2d_mod, newton=newton, engine=engine2d_mod)
+        assert report.warnings[: len(notes)] == notes
+
+
+class TestFitReport:
+    def test_to_dict_keys_are_the_fields(self):
+        assert list(FitReport().to_dict()) == [f.name for f in fields(FitReport)]
 
 
 class TestGAndGrad:
@@ -145,7 +183,7 @@ class TestGAndGrad:
             )
             for i in range(3)
         ]
-        hat = fit_mde(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+        hat = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)[0]
         point = LambdaMatrix(
             data=hat.data + 0.2 * rng.standard_normal((8, 3)), bag_ids=hat.bag_ids
         )
@@ -196,7 +234,7 @@ class TestBounds:
             )
             for i, n in enumerate(ns)
         ]
-        hat = fit_mde(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)
+        hat = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, NEWTON, engine=engine2d_mod)[0]
         tau = lipschitz_tau(stats, 8)
         for _ in range(100):
             a = hat.data + rng.standard_normal((8, 5))
@@ -375,7 +413,7 @@ class TestFitCmen:
             for d in densities
         ]
         newton = NewtonConfig(grad_tol=1e-5)
-        hat = fit_mde(stats, spec2d_mod, grid2d_mod, newton, engine=engine2d_mod)
+        hat = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, newton, engine=engine2d_mod)[0]
         cfg = CmenaConfig(a=1e-7)
         sol, report = fit_cmen(
             stats, spec2d_mod, grid2d_mod, cfg, NEWTON, engine=engine2d_mod, lambda_hat=hat
@@ -550,7 +588,6 @@ class TestContinuation:
     @staticmethod
     def desk_instance(seed):
         from maxentmil.experiments import synth_box_grid
-        from maxentmil.solvers import fit_columns_relaxed
 
         newton = NewtonConfig(grad_tol=1e-5)
         truth = synth_lowrank_lambda(30, 10, 2, seed=derive_seed(seed, "t"))
