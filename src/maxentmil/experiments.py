@@ -288,7 +288,6 @@ def markov_bound_trial(
     seed: int,
     d: int = 2,
     grid_points: int = 64,
-    newton: NewtonConfig = NewtonConfig(),
 ) -> tuple[dict[float, float], np.ndarray]:
     """Monte Carlo check of the confidence bound.
 
@@ -312,7 +311,7 @@ def markov_bound_trial(
             truth, spec, grid, engine, n_per_bag, (seed, trial)
         ):
             stats = suff_stats(samples, spec, dens.bag_id)
-            fitted, _ = fit_sde_relaxed(stats, spec, grid, newton, engine=engine)
+            fitted, _ = fit_sde_relaxed(stats, spec, grid, engine=engine)
             total += stats.n * kl(fitted, dens)
         sums[trial] = total
     fractions = {

@@ -343,7 +343,7 @@ class TestPhaseDiagramCommand:
         monkeypatch.setattr(cli, "phase_cells", _stop_with(seen, "spec"))
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
-            "m_values": [8], "t_values": [3], "reps": 4, "newton": {"grad_tol": 1e-5},
+            "m_values": [8], "t_values": [3], "reps": 4, "newton": {"grad_tol": 1e-6},
         }))
         out = tmp_path / "phase"
         main([
@@ -355,11 +355,11 @@ class TestPhaseDiagramCommand:
         assert resolved["t_values"] == [3]  # an empty list flag is not given
         assert resolved["reps"] == 4  # config over default
         assert resolved["n_bags"] == 20  # default
-        assert resolved["newton"] == {"grad_tol": 1e-5}
+        assert resolved["newton"] == {"grad_tol": 1e-6}
         assert resolved["cmena"] == {}
         (pd,), _ = seen["spec"]
         assert (pd.m_values, pd.t_values, pd.reps, pd.n_bags) == ((12, 16), (3,), 4, 20)
-        assert pd.newton == NewtonConfig(grad_tol=1e-5)
+        assert pd.newton == NewtonConfig(grad_tol=1e-6)
         assert pd.cmena == CmenaConfig()
 
 

@@ -293,7 +293,7 @@ class TestFitSde:
     def test_moment_matching_tolerance(self, spec2d, grid2d, engine2d, rng):
         bag = rng.uniform(-2, 2, size=(500, 2))
         st = suff_stats(bag, spec2d, "b")
-        cfg = NewtonConfig()
+        cfg = NewtonConfig(grad_tol=1e-8)
         fit = fit_sde(st, spec2d, grid2d, cfg, engine=engine2d)
         assert np.abs(fit.mean_phi - st.phi_bar).max() <= 10 * cfg.grad_tol / st.n
 
