@@ -79,11 +79,8 @@ from .mil import (
     PcaModel,
     PipelineConfig,
     avg_hausdorff,
-    citation_knn,
     distance_matrix,
     kde_fit,
-    kde_sym_kl,
-    kernel_matrix,
     kfold_evaluate,
     pca_apply,
     pca_fit,

@@ -253,21 +253,35 @@ def _grid_log_probs(log_pdf: np.ndarray, logw: np.ndarray) -> np.ndarray:
     return a - (shift + np.log(np.exp(a - shift).sum()))
 
 
-def kde_sym_kl(kde_a: KdeModel, kde_b: KdeModel, grid) -> float:
-    """Symmetric KL between two kernel densities by quadrature: both are
-    normalized on the shared grid, then the discrete symmetric divergence
-    is summed. No closed form exists for KDE pairs."""
-    la, lb = _kde_grid_log_probs([kde_a, kde_b], grid)
-    return _discrete_sym_kl(la, lb)
-
-
-def _kde_grid_log_probs(kdes: list[KdeModel], grid) -> list[np.ndarray]:
-    logw = np.log(grid.weights)
-    return [_grid_log_probs(k.log_pdf(grid.nodes), logw) for k in kdes]
-
-
 def _discrete_sym_kl(la: np.ndarray, lb: np.ndarray) -> float:
     return float(((np.exp(la) - np.exp(lb)) * (la - lb)).sum())
+
+
+def _bag_metric(items, kind: str, grid=None) -> tuple:
+    """The one place a distance kind picks its metric: returns the items
+    prepared for it and the pair distance over prepared items. items must
+    match kind (fitted densities for kl-*, KdeModel for kl-kde, instance
+    arrays for hausdorff). A kl-kde item becomes its KDE's log-probabilities
+    on the grid, normalized there, so each KDE is evaluated once; the
+    divergence of two such items is the discrete symmetric KL (no closed
+    form exists for KDE pairs)."""
+    items = list(items)
+    if kind in _JOINT_SOLVER:
+        if not all(isinstance(x, MEDensity) for x in items):
+            raise ValueError(f"kind {kind!r} expects fitted densities")
+        return items, sym_kl
+    if kind == "kl-kde":
+        if grid is None or not all(isinstance(x, KdeModel) for x in items):
+            raise ValueError("kind 'kl-kde' expects KdeModel items and a grid")
+        logw = np.log(grid.weights)
+        log_probs = [_grid_log_probs(k.log_pdf(grid.nodes), logw) for k in items]
+        return log_probs, _discrete_sym_kl
+    if kind == "hausdorff":
+        arrays = [np.asarray(x, dtype=float) for x in items]
+        if any(a.ndim != 2 for a in arrays):
+            raise ValueError("kind 'hausdorff' expects (n, d) instance arrays")
+        return arrays, avg_hausdorff
+    raise ValueError(f"unknown distance kind {kind!r}; expected one of {DISTANCES}")
 
 
 def _pairwise(items, dist) -> np.ndarray:
@@ -285,30 +299,8 @@ def sym_kl_matrix(densities: list[MEDensity]) -> np.ndarray:
 
 
 def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
-    """Pairwise bag distances. kind selects the metric family; items must
-    match it (fitted densities for kl-*, KdeModel for kl-kde, instance
-    arrays for hausdorff)."""
-    if kind in _JOINT_SOLVER:
-        if not all(isinstance(x, MEDensity) for x in items):
-            raise ValueError(f"kind {kind!r} expects fitted densities")
-        return sym_kl_matrix(list(items))
-    if kind == "kl-kde":
-        if grid is None or not all(isinstance(x, KdeModel) for x in items):
-            raise ValueError("kind 'kl-kde' expects KdeModel items and a grid")
-        return _pairwise(_kde_grid_log_probs(list(items), grid), _discrete_sym_kl)
-    if kind == "hausdorff":
-        arrays = [np.asarray(x, dtype=float) for x in items]
-        if any(a.ndim != 2 for a in arrays):
-            raise ValueError("kind 'hausdorff' expects (n, d) instance arrays")
-        return _pairwise(arrays, avg_hausdorff)
-    raise ValueError(f"unknown distance kind {kind!r}; expected one of {DISTANCES}")
-
-
-def kernel_matrix(items, kind: str, gamma: float, grid=None) -> np.ndarray:
-    """Bag kernel exp(-gamma * distance); symmetric with unit diagonal."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return np.exp(-gamma * distance_matrix(items, kind, grid=grid))
+    """Pairwise bag distances under the metric of kind (see _bag_metric)."""
+    return _pairwise(*_bag_metric(items, kind, grid))
 
 
 @dataclass(frozen=True)
@@ -357,23 +349,6 @@ def citation_knn_precomputed(
     return best[0]
 
 
-def citation_knn(
-    train_items,
-    labels,
-    query_item,
-    cfg: CitationKnnConfig,
-    metric,
-    ids=None,
-) -> str:
-    """Classify one query bag given a metric callable over items."""
-    n = len(train_items)
-    if ids is None:
-        ids = [f"{i:06d}" for i in range(n)]
-    d_train = _pairwise(train_items, metric)
-    d_query = np.array([metric(query_item, item) for item in train_items])
-    return citation_knn_precomputed(d_train, d_query, labels, ids, cfg)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a classification run needs: preprocessing, distance
@@ -383,7 +358,6 @@ class PipelineConfig:
     m: int = 16
     basis_seed: int = 0
     pca_dims: int | None = None
-    standardize: bool = True
     margin: float = 0.1
     grid_points: int = 64
     mc_nodes: int = 20_000
@@ -400,10 +374,8 @@ def _preprocess(train: LabeledBagDataset, test: LabeledBagDataset, cfg):
     if cfg.pca_dims is not None:
         pca = pca_fit(train.pooled_instances(), cfg.pca_dims)
         train, test = pca_apply(pca, train), pca_apply(pca, test)
-    if cfg.standardize:
-        std = standardize_fit(train.pooled_instances())
-        train, test = standardize_apply(std, train), standardize_apply(std, test)
-    return train, test
+    std = standardize_fit(train.pooled_instances())
+    return standardize_apply(std, train), standardize_apply(std, test)
 
 
 def _train_densities(train: LabeledBagDataset, spec, grid, engine, cfg):
@@ -424,32 +396,29 @@ def evaluate_split(
     ids = list(train.bag_ids)
     domain = domain_from_data(train.pooled_instances(), cfg.margin)
     grid = make_auto_grid(domain, cfg.grid_points, cfg.mc_nodes, cfg.basis_seed)
+    bags = train.bags + test.bags
     if cfg.distance == "hausdorff":
-        train_items = [b.instances for b in train.bags]
-        test_items = [b.instances for b in test.bags]
-        dist = avg_hausdorff
+        items = [b.instances for b in bags]
     elif cfg.distance == "kl-kde":
-        # each bag's KDE is evaluated on the grid once, train and test alike
-        train_items = _kde_grid_log_probs([kde_fit(b.instances) for b in train.bags], grid)
-        test_items = _kde_grid_log_probs([kde_fit(b.instances) for b in test.bags], grid)
-        dist = _discrete_sym_kl
+        items = [kde_fit(b.instances) for b in bags]
     else:
         spec = make_basis(train.d, cfg.m, cfg.basis_seed)
         check_grid_resolution(spec, grid)
         engine = BasisGrid(spec, grid)
-        train_items = _train_densities(train, spec, grid, engine, cfg)
-        test_items = [
+        items = _train_densities(train, spec, grid, engine, cfg) + [
             fit_sde_relaxed(
                 suff_stats(tb.instances, spec, tb.bag_id), spec, grid, cfg.newton,
                 engine=engine,
             )[0]
             for tb in test.bags
         ]
-        dist = sym_kl
+    items, dist = _bag_metric(items, cfg.distance, grid)
+    train_items = items[: len(train.bags)]
+    # The training pairs, then one row per test bag: no test x test pair.
     d_train = _pairwise(train_items, dist)
-    d_queries = [np.array([dist(q, item) for item in train_items]) for q in test_items]
     out = []
-    for tb, d_query in zip(test.bags, d_queries):
+    for tb, query in zip(test.bags, items[len(train.bags) :]):
+        d_query = np.array([dist(query, item) for item in train_items])
         pred = citation_knn_precomputed(d_train, d_query, labels, ids, cfg.knn)
         out.append({"bag_id": tb.bag_id, "true": tb.label, "predicted": pred})
     return out

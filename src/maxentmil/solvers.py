@@ -118,7 +118,6 @@ class FitReport:
     warnings: list = field(default_factory=list)
     converged: bool = True
     tau_used: float | None = None
-    tau_unweighted: float | None = None
     wall_time: float = 0.0
     # Work counters, filled by fit_cmen: proximal candidates evaluated, and
     # likelihood-kernel calls (log_partition_many + logz_and_mean_many).
@@ -201,6 +200,14 @@ def fit_columns_relaxed(
         data=np.column_stack(columns), bag_ids=tuple(s.bag_id for s in stats_list)
     )
     return matrix, notes
+
+
+def _anchor(stats_list, spec, grid, newton, eng, given):
+    """The column-wise ML matrix a solver starts from: given as is (no
+    notes), or fitted by fit_columns_relaxed with its relaxation notes."""
+    if given is not None:
+        return given, []
+    return fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
 
 
 def g_and_grad(
@@ -392,16 +399,11 @@ def fit_cmen(
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
-    notes = []
-    if lambda_hat is None:
-        lambda_hat, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
+    lambda_hat, notes = _anchor(stats_list, spec, grid, newton, eng, lambda_hat)
     prob = _JointProblem(eng, stats_list)
-    n_bags, m = prob.n_bags, eng.m
-    eps = epsilon_bound(n_bags, m, cfg.a)
-    tau0 = lipschitz_tau(stats_list, m)
-    report = FitReport(
-        solver="cmen", tau_used=tau0, tau_unweighted=float(n_bags * m), warnings=notes
-    )
+    eps = epsilon_bound(prob.n_bags, eng.m, cfg.a)
+    tau0 = lipschitz_tau(stats_list, eng.m)
+    report = FitReport(solver="cmen", tau_used=tau0, warnings=notes)
 
     nll_hat, grad_hat = prob.nll_and_grad(lambda_hat.data)
     zero = np.zeros_like(lambda_hat.data)
@@ -512,15 +514,10 @@ def fit_rmde(
         raise ValueError("eta must be positive")
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
-    notes = []
-    if init is None:
-        init, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
+    init, notes = _anchor(stats_list, spec, grid, newton, eng, init)
     prob = _JointProblem(eng, stats_list)
     tau = lipschitz_tau(stats_list, eng.m)
-    report = FitReport(
-        solver="rmde", tau_used=tau, tau_unweighted=float(prob.n_bags * eng.m), etas=[eta],
-        warnings=notes,
-    )
+    report = FitReport(solver="rmde", tau_used=tau, etas=[eta], warnings=notes)
 
     def trace(nll, data):
         s = singular_values(data)
@@ -568,9 +565,7 @@ def rmde_continuation(
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
-    notes = []
-    if lambda_hat is None:
-        lambda_hat, notes = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
+    lambda_hat, notes = _anchor(stats_list, spec, grid, newton, eng, lambda_hat)
     eta0 = max(float(np.linalg.norm(lambda_hat.data) ** 2), 1e-12)
     eta_floor = 1e-3 * eta0
     etas = [eta0]
@@ -588,7 +583,6 @@ def rmde_continuation(
         report.warnings.extend(f"eta={eta:.6g}: {w}" for w in stage.warnings)
         report.converged = report.converged and stage.converged
         report.tau_used = stage.tau_used
-        report.tau_unweighted = stage.tau_unweighted
     report.wall_time = time.perf_counter() - start
     return current, report
 
@@ -603,7 +597,7 @@ def rmde_cross_validate(
     newton: NewtonConfig = NewtonConfig(),
     engine: BasisGrid | None = None,
     lambda_hat: LambdaMatrix | None = None,
-) -> tuple[float, LambdaMatrix]:
+) -> tuple[LambdaMatrix, FitReport]:
     """Pick eta on a seeded 70/30 bag split, then refit on all bags.
 
     A held-out bag is scored against its best-matching trained column:
@@ -611,16 +605,17 @@ def rmde_cross_validate(
     lowest total held-out score wins (first on ties). Both fits start from
     the column-wise ML matrix (lambda_hat, fitted here when not given);
     its columns are independent, so the training split's start is just
-    its training columns.
+    its training columns. The report is the refit's, with etas [best eta];
+    when the anchor was fitted here, its relaxation notes open the warnings.
     """
     if not etas:
         raise ValueError("etas must be nonempty")
     n_bags = len(stats_list)
     if n_bags < 4:
         raise ValueError("cross-validation needs at least 4 bags")
+    start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
-    if lambda_hat is None:
-        lambda_hat, _ = fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
+    lambda_hat, notes = _anchor(stats_list, spec, grid, newton, eng, lambda_hat)
     perm = np.random.default_rng(split_seed).permutation(n_bags)
     n_train = min(max(int(round(0.7 * n_bags)), 1), n_bags - 1)
     train = [stats_list[i] for i in perm[:n_train]]
@@ -640,10 +635,13 @@ def rmde_cross_validate(
             total += float(scores.min())
         errors.append(total)
     best_eta = float(etas[int(np.argmin(errors))])
-    final, _ = fit_rmde(
+    final, report = fit_rmde(
         stats_list, spec, grid, best_eta, cfg, newton, engine=eng, init=lambda_hat
     )
-    return best_eta, final
+    report.solver = "rmde-cv"
+    report.warnings[:0] = notes
+    report.wall_time = time.perf_counter() - start
+    return final, report
 
 
 def fit_joint(
@@ -664,8 +662,8 @@ def fit_joint(
     Fits the column-wise ML matrix once with fit_columns_relaxed and hands
     it to the solver as its anchor or start; "mde" returns it as is. eta is
     the fixed penalty of "rmde", etas and split_seed drive "rmde-cv". The
-    relaxation notes of the column fits are appended to the report's
-    warnings.
+    report is the solver's, with wall_time covering the column fits too;
+    the relaxation notes of the column fits are appended to its warnings.
     """
     if name not in JOINT_SOLVERS:
         raise ValueError(f"solver must be one of {JOINT_SOLVERS}, got {name!r}")
@@ -682,17 +680,15 @@ def fit_joint(
             stats_list, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
         )
     elif name == "rmde-cv":
-        best_eta, matrix = rmde_cross_validate(
+        matrix, report = rmde_cross_validate(
             stats_list, spec, grid, list(etas), split_seed, cmena, newton,
             engine=engine, lambda_hat=hat,
         )
-        report = FitReport(solver="rmde-cv", etas=[best_eta])
     else:
         matrix, report = fit_cmen(
             stats_list, spec, grid, cmena, newton, engine=engine, lambda_hat=hat
         )
-    if name in ("mde", "rmde-cv"):  # the other solvers time themselves
-        report.wall_time = time.perf_counter() - start
+    report.wall_time = time.perf_counter() - start
     report.warnings.extend(notes)
     return matrix, report
 

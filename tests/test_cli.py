@@ -206,6 +206,21 @@ class TestFitCommand:
         ]) == 0
         assert sorted(fitted) == sorted(ds.bag_ids)
 
+    def test_rmde_cv_reports_its_refit(self, tmp_path):
+        # On this set the final refit stops at its step cap; the report is
+        # the refit's, so the run says so and exits 2.
+        ds, _ = synth_two_class_bags(16, 200, 8, seed=1)
+        path = tmp_path / "bags.jsonl"
+        write_bags_jsonl(ds, path)
+        out = tmp_path / "o"
+        code = main(["fit", str(path), "--out", str(out), "--solver", "rmde-cv", "--m", "8"])
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["solver"] == "rmde-cv" and report["converged"] is False
+        assert len(report["warnings"]) == 1
+        assert report["warnings"][0].startswith("prox residual still above obj_tol")
+        assert len(report["etas"]) == 1 and report["inner_iters"] == [100]
+
 
 class TestKlMatrixCommand:
     def test_diagonal_zero(self, bag_file, tmp_path):

@@ -1,26 +1,38 @@
 import numpy as np
 import pytest
 
+from maxentmil.basis import domain_from_data, make_auto_grid, make_basis
 from maxentmil.experiments import synth_two_class_bags
+from maxentmil.maxent import BasisGrid, densities_from_columns, fit_sde_relaxed, suff_stats
 from maxentmil.mil import (
+    DISTANCES,
     Bag,
     CitationKnnConfig,
     LabeledBagDataset,
     PipelineConfig,
     avg_hausdorff,
-    citation_knn,
     citation_knn_precomputed,
     distance_matrix,
     kde_fit,
-    kde_sym_kl,
-    kernel_matrix,
     kfold_evaluate,
     pca_apply,
     pca_apply_instances,
     pca_fit,
     evaluate_split,
+    standardize_apply,
+    standardize_fit,
     stratified_folds,
 )
+from maxentmil.solvers import fit_joint
+
+
+def hausdorff_vote(items, labels, query, cfg, ids=None):
+    """citation-kNN of one query bag over instance arrays: the training
+    matrix, then the query's row with the query as first argument."""
+    ids = [f"{i:06d}" for i in range(len(items))] if ids is None else ids
+    d_train = distance_matrix(items, "hausdorff")
+    d_query = distance_matrix([query, *items], "hausdorff")[0, 1:]
+    return citation_knn_precomputed(d_train, d_query, labels, ids, cfg)
 
 
 def tiny_dataset(rng, n_a=6, n_b=2, n_inst=20):
@@ -138,14 +150,16 @@ class TestKde:
 
     def test_self_divergence_zero(self, grid2d, rng):
         model = kde_fit(rng.uniform(-2, 2, (50, 2)))
-        assert abs(kde_sym_kl(model, model, grid2d)) <= 1e-8
+        assert abs(distance_matrix([model, model], "kl-kde", grid=grid2d)[0, 1]) <= 1e-8
 
     def test_symmetry_and_positivity(self, grid2d, rng):
         f = kde_fit(rng.uniform(-2, 0, (40, 2)))
         g = kde_fit(rng.uniform(0, 2, (40, 2)))
-        d = kde_sym_kl(f, g, grid2d)
+        d = distance_matrix([f, g], "kl-kde", grid=grid2d)[0, 1]
         assert d > 0
-        assert d == pytest.approx(kde_sym_kl(g, f, grid2d), abs=1e-10)
+        assert d == pytest.approx(
+            distance_matrix([g, f], "kl-kde", grid=grid2d)[0, 1], abs=1e-10
+        )
 
     def test_bandwidth_rate(self, rng):
         # 32x more data roughly halves the bandwidth (n^(-1/5) rule).
@@ -159,40 +173,32 @@ class TestKde:
             kde_fit(np.zeros((0, 2)))
 
 
-class TestKernelMatrix:
-    def test_unit_diagonal_and_symmetry(self, rng):
+class TestDistanceMatrix:
+    def test_zero_diagonal_and_symmetry(self, rng):
         bags = [rng.standard_normal((10, 2)) for _ in range(4)]
-        k = kernel_matrix(bags, "hausdorff", gamma=0.5)
-        np.testing.assert_allclose(np.diag(k), 1.0)
-        np.testing.assert_allclose(k, k.T)
-        assert ((k > 0) & (k <= 1)).all()
+        d = distance_matrix(bags, "hausdorff")
+        np.testing.assert_array_equal(np.diag(d), 0.0)
+        np.testing.assert_array_equal(d, d.T)
+        assert (np.isfinite(d) & (d >= 0)).all()
 
-    def test_identical_bags_entry_one(self, rng):
+    def test_identical_bags_entry_zero(self, rng):
         a = rng.standard_normal((10, 2))
-        k = kernel_matrix([a, a.copy()], "hausdorff", gamma=2.0)
-        assert k[0, 1] == pytest.approx(1.0)
-
-    def test_large_gamma_kills_offdiagonal(self, rng):
-        bags = [rng.standard_normal((10, 2)) + i for i in range(3)]
-        k = kernel_matrix(bags, "hausdorff", gamma=1e6)
-        off = k[~np.eye(3, dtype=bool)]
-        assert np.abs(off).max() < 1e-12
+        d = distance_matrix([a, a.copy()], "hausdorff")
+        assert d[0, 1] == pytest.approx(0.0)
 
     def test_elementwise_definition(self, rng):
         bags = [rng.standard_normal((8, 2)) for _ in range(3)]
         d = distance_matrix(bags, "hausdorff")
-        np.testing.assert_allclose(
-            kernel_matrix(bags, "hausdorff", gamma=0.3), np.exp(-0.3 * d), atol=1e-14
-        )
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert d[i, j] == d[j, i] == avg_hausdorff(bags[i], bags[j])
 
     def test_kind_validation(self, rng):
         bags = [rng.standard_normal((5, 2))]
         with pytest.raises(ValueError):
-            kernel_matrix(bags, "kl-cmen", gamma=1.0)
+            distance_matrix(bags, "kl-cmen")
         with pytest.raises(ValueError):
-            kernel_matrix(bags, "nope", gamma=1.0)
-        with pytest.raises(ValueError):
-            kernel_matrix(bags, "hausdorff", gamma=0.0)
+            distance_matrix(bags, "nope")
         with pytest.raises(ValueError):
             distance_matrix([kde_fit(b) for b in bags], "kl-kde", grid=None)
 
@@ -211,9 +217,8 @@ class TestCitationKnn:
     def test_identical_train_bag_wins(self, rng):
         items = [rng.standard_normal((6, 2)) for _ in range(3)]
         labels = ["x", "y", "y"]
-        pred = citation_knn(
-            items, labels, items[0].copy(), CitationKnnConfig(k=1, k_prime=0),
-            metric=avg_hausdorff,
+        pred = hausdorff_vote(
+            items, labels, items[0].copy(), CitationKnnConfig(k=1, k_prime=0)
         )
         assert pred == "x"
 
@@ -242,11 +247,11 @@ class TestCitationKnn:
         ids = [f"t{i}" for i in range(6)]
         query = rng.standard_normal((7, 2))
         cfg = CitationKnnConfig(k=3, k_prime=2)
-        pred = citation_knn(items, labels, query, cfg, avg_hausdorff, ids=ids)
+        pred = hausdorff_vote(items, labels, query, cfg, ids=ids)
         perm = rng.permutation(6)
-        pred_perm = citation_knn(
+        pred_perm = hausdorff_vote(
             [items[i] for i in perm], [labels[i] for i in perm], query, cfg,
-            avg_hausdorff, ids=[ids[i] for i in perm],
+            ids=[ids[i] for i in perm],
         )
         assert pred == pred_perm
 
@@ -325,14 +330,12 @@ class TestKfold:
         assert [r["bag_id"] for r in records] == list(test.bag_ids)
 
     def test_kl_kde_split_evaluates_each_kde_once(self, rng, monkeypatch):
-        from maxentmil.basis import domain_from_data, make_auto_grid
         from maxentmil.mil import KdeModel
 
         ds = tiny_dataset(rng, n_a=4, n_b=4, n_inst=30)
         train, test = ds.subset([0, 1, 2, 4, 5, 6]), ds.subset([3, 7])
         cfg = PipelineConfig(
-            distance="kl-kde", standardize=False, grid_points=24,
-            knn=CitationKnnConfig(k=3, k_prime=2),
+            distance="kl-kde", grid_points=24, knn=CitationKnnConfig(k=3, k_prime=2),
         )
         calls = []
         original = KdeModel.log_pdf
@@ -344,21 +347,18 @@ class TestKfold:
         monkeypatch.setattr(KdeModel, "log_pdf", counting)
         records = evaluate_split(train, test, cfg)
         assert len(calls) == len(train.bags) + len(test.bags)
+        assert records == expected_split_records(train, test, cfg)
 
-        grid = make_auto_grid(
-            domain_from_data(train.pooled_instances(), cfg.margin),
-            cfg.grid_points, cfg.mc_nodes, cfg.basis_seed,
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_split_votes_over_distance_matrix(self, rng, distance):
+        # evaluate_split is distance_matrix over the training items plus one
+        # query row per test bag, voted by citation_knn_precomputed.
+        ds = tiny_dataset(rng, n_a=4, n_b=4, n_inst=30)
+        train, test = ds.subset([0, 1, 2, 4, 5, 6]), ds.subset([3, 7])
+        cfg = PipelineConfig(
+            distance=distance, m=4, grid_points=24, knn=CitationKnnConfig(k=3, k_prime=2),
         )
-        kdes = [kde_fit(b.instances) for b in train.bags]
-        d_train = distance_matrix(kdes, "kl-kde", grid=grid)
-        expected = []
-        for tb in test.bags:
-            d_query = np.array([kde_sym_kl(kde_fit(tb.instances), k, grid) for k in kdes])
-            pred = citation_knn_precomputed(
-                d_train, d_query, list(train.labels), list(train.bag_ids), cfg.knn
-            )
-            expected.append({"bag_id": tb.bag_id, "true": tb.label, "predicted": pred})
-        assert records == expected
+        assert evaluate_split(train, test, cfg) == expected_split_records(train, test, cfg)
 
     @pytest.mark.slow
     def test_two_class_fixture_high_accuracy(self):
@@ -366,6 +366,46 @@ class TestKfold:
         cfg = PipelineConfig(distance="kl-mde", m=16)
         result = kfold_evaluate(ds, folds=10, cfg=cfg, seed=0)
         assert result.mean_accuracy >= 0.9
+
+
+def expected_split_records(train, test, cfg):
+    """evaluate_split's records rebuilt from the public pieces: training-fitted
+    standardization, one item per bag, distance_matrix and the vote."""
+    std = standardize_fit(train.pooled_instances())
+    train, test = standardize_apply(std, train), standardize_apply(std, test)
+    domain = domain_from_data(train.pooled_instances(), cfg.margin)
+    grid = make_auto_grid(domain, cfg.grid_points, cfg.mc_nodes, cfg.basis_seed)
+    if cfg.distance == "hausdorff":
+        train_items = [b.instances for b in train.bags]
+        test_items = [b.instances for b in test.bags]
+    elif cfg.distance == "kl-kde":
+        train_items = [kde_fit(b.instances) for b in train.bags]
+        test_items = [kde_fit(b.instances) for b in test.bags]
+    else:
+        solver = {"kl-cmen": "cmen", "kl-rmde": "rmde-continuation", "kl-mde": "mde"}
+        spec = make_basis(train.d, cfg.m, cfg.basis_seed)
+        engine = BasisGrid(spec, grid)
+        stats = [suff_stats(b.instances, spec, b.bag_id) for b in train.bags]
+        sol, _ = fit_joint(
+            solver[cfg.distance], stats, spec, grid, engine, cfg.cmena, cfg.newton
+        )
+        train_items = densities_from_columns(sol.data, sol.bag_ids, spec, grid, engine)
+        test_items = [
+            fit_sde_relaxed(
+                suff_stats(b.instances, spec, b.bag_id), spec, grid, cfg.newton,
+                engine=engine,
+            )[0]
+            for b in test.bags
+        ]
+    d_train = distance_matrix(train_items, cfg.distance, grid=grid)
+    records = []
+    for tb, query in zip(test.bags, test_items):
+        d_query = distance_matrix([query, *train_items], cfg.distance, grid=grid)[0, 1:]
+        pred = citation_knn_precomputed(
+            d_train, d_query, list(train.labels), list(train.bag_ids), cfg.knn
+        )
+        records.append({"bag_id": tb.bag_id, "true": tb.label, "predicted": pred})
+    return records
 
 
 def test_dataset_validation(rng):

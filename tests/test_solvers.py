@@ -127,8 +127,9 @@ class TestDefaultAnchor:
             lambda *a, **k: fit_cmen(*a, CmenaConfig(max_outer=2, max_inner=5), **k),
             lambda *a, **k: fit_rmde(*a, 1.0, CmenaConfig(max_inner=5), **k),
             lambda *a, **k: rmde_continuation(*a, CmenaConfig(max_inner=5), **k),
+            lambda *a, **k: rmde_cross_validate(*a, [1.0], 0, CmenaConfig(max_inner=5), **k),
         ],
-        ids=["fit_cmen", "fit_rmde", "rmde_continuation"],
+        ids=["fit_cmen", "fit_rmde", "rmde_continuation", "rmde_cross_validate"],
     )
     def test_relaxation_notes_reach_the_report(self, solve, spec2d_mod, grid2d_mod, engine2d_mod):
         # Bags whose four Newton steps stall above grad_tol 1e-12: without
@@ -625,11 +626,11 @@ class TestContinuation:
 class TestCrossValidation:
     def test_single_eta_returned(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod):
         _, stats = hat_and_stats
-        best, _ = rmde_cross_validate(
+        _, report = rmde_cross_validate(
             stats, spec2d_mod, grid2d_mod, [0.37], split_seed=0,
             newton=NEWTON, engine=engine2d_mod,
         )
-        assert best == 0.37
+        assert report.etas == [0.37]
 
     def test_runs_one_fit_per_eta(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
         _, stats = hat_and_stats
