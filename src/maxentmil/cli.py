@@ -5,7 +5,6 @@ bench. Each run takes an optional JSON config file plus flag overrides
 (flags win), checks them, writes its outputs plus a resolved-config copy into
 --out, and exits 0 on success, 2 when a solver finished with warnings, 1 on
 any error, usage errors included. Unknown config keys are rejected.
-MAXENTMIL_THREADS mirrors --threads.
 """
 
 from __future__ import annotations
@@ -54,28 +53,29 @@ def _check_keys(rec: dict, allowed: set, context: str):
         raise ValueError(f"unknown config keys in {context}: {', '.join(unknown)}")
 
 
-def _params(args, defaults: dict, solver_blocks: bool = False) -> dict:
+def _params(args, defaults: dict, newton_block: bool = False) -> dict:
     """A command's resolved parameters. Precedence: the flag named like a
     default > the --config file > the default. The config file may hold
-    exactly the default keys, plus (with solver_blocks) a "newton" and a
-    "cmena" block of NewtonConfig / CmenaConfig fields, passed through as
-    given. A flag left out, or a list flag given as "", is not given."""
-    blocks = {"newton": NewtonConfig, "cmena": CmenaConfig} if solver_blocks else {}
+    exactly the default keys, plus (with newton_block) a "newton" block of
+    NewtonConfig fields, passed through as given. A flag left out, or a
+    list flag given as "", is not given."""
+    blocks = {"newton": {}} if newton_block else {}
     config = {}
     if args.config is not None:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         _check_keys(config, {*defaults, *blocks}, f"{args.config} ({args.command})")
-        for name, cls in blocks.items():
-            if name in config:
-                allowed = {f.name for f in fields(cls)}
-                _check_keys(config[name], allowed, f"{args.config} ({name})")
+        if "newton" in config:
+            if not isinstance(config["newton"], dict):
+                raise ValueError(f"{args.config}: newton must be a JSON object")
+            allowed = {f.name for f in fields(NewtonConfig)}
+            _check_keys(config["newton"], allowed, f"{args.config} (newton)")
     flags = {
         k: v for k, v in vars(args).items()
         if k in defaults and v is not None and v != []
     }
-    return {**defaults, **{name: {} for name in blocks}, **config, **flags}
+    return {**defaults, **blocks, **config, **flags}
 
 
 def _prepare_out(out_dir, command: str, resolved: dict) -> Path:
@@ -96,26 +96,17 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MAXENTMIL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def cmd_fit(args) -> int:
     params = _params(args, {
         "seed": 0, "m": 20, "solver": "cmen", "eta": 1.0, "etas": list(DEFAULT_CV_ETAS),
-        "a": None, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000, "cv_split_seed": 0,
-    }, solver_blocks=True)
+        "a": CmenaConfig.a, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
+        "cv_split_seed": 0,
+    }, newton_block=True)
     if params["solver"] not in JOINT_SOLVERS:
         raise ValueError(f"solver must be one of {JOINT_SOLVERS}")
-    # --a > config "a" > config "cmena.a" > CmenaConfig's default
-    if params["a"] is None:
-        params["a"] = params["cmena"].get("a", CmenaConfig.a)
     dataset = read_bags(args.dataset)
     newton = NewtonConfig(**params["newton"])
-    cmena = CmenaConfig(**{**params["cmena"], "a": params["a"]})
+    cmena = CmenaConfig(a=params["a"])
     spec = make_basis(dataset.d, params["m"], params["seed"])
     domain = domain_from_data(dataset.pooled_instances(), params["margin"])
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
@@ -157,7 +148,8 @@ def cmd_classify(args) -> int:
     params = _params(args, {
         "seed": 0, "distance": "kl-cmen", "m": 16, "pca_dims": None, "k": 5,
         "k_prime": 5, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
-    }, solver_blocks=True)
+        "a": CmenaConfig.a,
+    }, newton_block=True)
     train = read_bags(args.train)
     test = read_bags(args.test)
     pipe = PipelineConfig(
@@ -169,7 +161,7 @@ def cmd_classify(args) -> int:
         grid_points=params["grid_points"],
         mc_nodes=params["mc_nodes"],
         knn=CitationKnnConfig(k=params["k"], k_prime=params["k_prime"]),
-        cmena=CmenaConfig(**params["cmena"]),
+        cmena=CmenaConfig(a=params["a"]),
         newton=NewtonConfig(**params["newton"]),
     )
     out = _prepare_out(args.out, "classify", params)
@@ -223,9 +215,9 @@ def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[
 def cmd_phase_diagram(args) -> int:
     params = _params(args, {
         "seed": 0, "n_bags": 20, "m_values": [20, 30, 40], "t_values": [2, 5, 10],
-        "n_per_bag": 1000, "reps": 10, "solver": "cmen", "threads": _default_threads(),
-        "d": 2, "domain_halfwidth": 3.0, "grid_points": 64,
-    }, solver_blocks=True)
+        "n_per_bag": 1000, "reps": 10, "solver": "cmen", "threads": os.cpu_count() or 1,
+        "d": 2, "domain_halfwidth": 3.0, "grid_points": 64, "a": CmenaConfig.a,
+    }, newton_block=True)
     if params["solver"] == "both":
         solvers = ["cmen", "rmde-continuation"]
     else:
@@ -242,7 +234,7 @@ def cmd_phase_diagram(args) -> int:
         d=params["d"],
         domain_halfwidth=params["domain_halfwidth"],
         grid_points=params["grid_points"],
-        cmena=CmenaConfig(**params["cmena"]),
+        cmena=CmenaConfig(a=params["a"]),
         newton=NewtonConfig(**params["newton"]),
     )
     out = _prepare_out(args.out, "phase-diagram", params)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,7 +86,7 @@ BACKTRACK_RHO = 0.5
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration budget and gradient inf-norm tolerance of fit_sde.
+    """Gradient inf-norm tolerance of fit_sde; its step budget is fixed.
 
     grad_tol 1e-5 pins a bag's fitted feature mean to phi_bar within
     1e-5 / n. Newton on an ill-conditioned bag can stall at a gradient of a
@@ -93,12 +94,12 @@ class NewtonConfig:
     fit_sde_relaxed's ladder. Every fitter and harness uses this default.
     """
 
-    max_iters: int = 50
+    max_iters: ClassVar[int] = 50
     grad_tol: float = 1e-5
 
     def __post_init__(self):
-        if min(self.max_iters, self.grad_tol) <= 0:
-            raise ValueError("Newton parameters must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 _scratch = threading.local()

@@ -52,12 +52,16 @@ class LabeledBagDataset:
         bags = tuple(self.bags)
         if not bags:
             raise ValueError("dataset needs at least one bag")
-        dims = {b.instances.shape[1] for b in bags}
-        if len(dims) != 1:
-            raise ValueError(f"bags disagree on dimension: {sorted(dims)}")
-        ids = [b.bag_id for b in bags]
-        if len(set(ids)) != len(ids):
-            raise ValueError("bag ids must be unique")
+        seen, d = set(), bags[0].instances.shape[1]
+        for b in bags:
+            if b.instances.shape[1] != d:
+                raise ValueError(
+                    f"bag {b.bag_id!r} has dimension {b.instances.shape[1]}, "
+                    f"bag {bags[0].bag_id!r} has {d}"
+                )
+            if b.bag_id in seen:
+                raise ValueError(f"bag id {b.bag_id!r} is repeated")
+            seen.add(b.bag_id)
         object.__setattr__(self, "bags", bags)
 
     @property

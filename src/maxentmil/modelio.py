@@ -67,21 +67,32 @@ def read_bags_jsonl(path) -> LabeledBagDataset:
                 raise ValueError(
                     f"{path}: line {lineno}: bag {bag_id!r} has a non-finite instance"
                 )
-            bags.append(
-                Bag(bag_id=str(bag_id), label=rec.get("label"), instances=instances)
-            )
+            try:
+                bag = Bag(bag_id=str(bag_id), label=rec.get("label"), instances=instances)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            bags.append(bag)
     if not bags:
         raise ValueError(f"{path}: no bags found")
-    return LabeledBagDataset(bags=tuple(bags))
+    try:
+        return LabeledBagDataset(bags=tuple(bags))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _write_jsonl(path, records):
+    """One canonical JSON record per line."""
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(dumps_canonical(rec))
 
 
 def write_bags_jsonl(dataset: LabeledBagDataset, path):
-    with open(path, "w") as fh:
-        for bag in dataset.bags:
-            rec = {"bag_id": bag.bag_id, "instances": bag.instances.tolist()}
-            if bag.label is not None:
-                rec["label"] = bag.label
-            fh.write(dumps_canonical(rec).rstrip("\n") + "\n")
+    _write_jsonl(path, (
+        {"bag_id": bag.bag_id, "instances": bag.instances.tolist()}
+        | ({} if bag.label is None else {"label": bag.label})
+        for bag in dataset.bags
+    ))
 
 
 def read_bags_csv(path) -> LabeledBagDataset:
@@ -203,14 +214,9 @@ def load_model(path):
 
 
 def write_stats_jsonl(stats_list, path):
-    with open(path, "w") as fh:
-        for s in stats_list:
-            fh.write(
-                dumps_canonical(
-                    {"bag_id": s.bag_id, "n": s.n, "phi_bar": s.phi_bar.tolist()}
-                ).rstrip("\n")
-                + "\n"
-            )
+    _write_jsonl(path, (
+        {"bag_id": s.bag_id, "n": s.n, "phi_bar": s.phi_bar.tolist()} for s in stats_list
+    ))
 
 
 def write_matrix_csv(matrix: np.ndarray, bag_ids, path):
@@ -241,6 +247,4 @@ def read_matrix_csv(path):
 
 
 def write_predictions_jsonl(records, path):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(dumps_canonical(rec).rstrip("\n") + "\n")
+    _write_jsonl(path, records)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,23 +84,21 @@ class LambdaMatrix:
 
 @dataclass(frozen=True)
 class CmenaConfig:
-    """The confidence multiplier a (eps = a*N*m/2) and the stopping rule
-    MaxIter <= 100, objTol < 1e-2, consTol < 1e-1 of the joint solvers.
-    The step control (line_search's backtracking from LS_ALPHA times the
-    last accepted tau, floored at TAU_FLOOR times the Lipschitz bound) and
-    the dual bracket, which starts at [0, 1], are fixed."""
+    """The confidence multiplier a (eps = a*N*m/2), the joint solvers' one
+    setting. As the paper's CMEN is free of tuning parameters, the rest is
+    fixed: the stopping rule (max_outer dual bisection steps of at most
+    max_inner proximal steps each; objTol obj_tol, consTol cons_tol), the
+    step control (line_search's backtracking from LS_ALPHA times the last
+    accepted tau, floored at TAU_FLOOR times the Lipschitz bound) and the
+    dual bracket, which starts at [0, 1]."""
 
+    max_outer: ClassVar[int] = 30
+    max_inner: ClassVar[int] = 100
+    obj_tol: ClassVar[float] = 1e-2
+    cons_tol: ClassVar[float] = 1e-1
     a: float = 1.0
-    max_outer: int = 30
-    max_inner: int = 100
-    obj_tol: float = 1e-2
-    cons_tol: float = 1e-1
 
     def __post_init__(self):
-        if min(self.max_outer, self.max_inner) < 1:
-            raise ValueError("iteration budgets must be >= 1")
-        if min(self.obj_tol, self.cons_tol) <= 0:
-            raise ValueError("tolerances must be positive")
         if self.a <= 0:
             raise ValueError("a must be positive")
 
@@ -117,7 +116,6 @@ class FitReport:
     etas: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     converged: bool = True
-    tau_used: float | None = None
     wall_time: float = 0.0
     # Work counters, filled by fit_cmen: proximal candidates evaluated, and
     # likelihood-kernel calls (log_partition_many + logz_and_mean_many).
@@ -403,7 +401,7 @@ def fit_cmen(
     prob = _JointProblem(eng, stats_list)
     eps = epsilon_bound(prob.n_bags, eng.m, cfg.a)
     tau0 = lipschitz_tau(stats_list, eng.m)
-    report = FitReport(solver="cmen", tau_used=tau0, warnings=notes)
+    report = FitReport(solver="cmen", warnings=notes)
 
     nll_hat, grad_hat = prob.nll_and_grad(lambda_hat.data)
     zero = np.zeros_like(lambda_hat.data)
@@ -517,7 +515,7 @@ def fit_rmde(
     init, notes = _anchor(stats_list, spec, grid, newton, eng, init)
     prob = _JointProblem(eng, stats_list)
     tau = lipschitz_tau(stats_list, eng.m)
-    report = FitReport(solver="rmde", tau_used=tau, etas=[eta], warnings=notes)
+    report = FitReport(solver="rmde", etas=[eta], warnings=notes)
 
     def trace(nll, data):
         s = singular_values(data)
@@ -582,7 +580,6 @@ def rmde_continuation(
         report.inner_iters.append(stage.inner_iters[-1])
         report.warnings.extend(f"eta={eta:.6g}: {w}" for w in stage.warnings)
         report.converged = report.converged and stage.converged
-        report.tau_used = stage.tau_used
     report.wall_time = time.perf_counter() - start
     return current, report
 

@@ -16,6 +16,7 @@ from maxentmil.mil import (
     evaluate_split,
 )
 from maxentmil.modelio import load_model, read_bags_jsonl, read_matrix_csv, write_bags_jsonl
+from maxentmil.solvers import CmenaConfig
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +79,12 @@ class TestFitCommand:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
-    def test_warning_flagged_convergence_exits_2(self, bag_file, tmp_path):
+    def test_warning_flagged_convergence_exits_2(self, bag_file, tmp_path, monkeypatch):
         path, _ = bag_file
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"cmena": {"max_inner": 1, "max_outer": 1}}))
+        monkeypatch.setattr(CmenaConfig, "max_inner", 1)
+        monkeypatch.setattr(CmenaConfig, "max_outer", 1)
         code = main([
-            "fit", str(path), "--out", str(tmp_path / "o"), "--solver", "cmen",
-            "--m", "8", "--config", str(cfgfile),
+            "fit", str(path), "--out", str(tmp_path / "o"), "--solver", "cmen", "--m", "8",
         ])
         assert code == 2
 
@@ -99,33 +99,41 @@ class TestFitCommand:
         assert "not_a_key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "block, key", [("cmena", "ls_alpha"), ("newton", "hessian_ridge")]
+        "block, key, unknown",
+        [
+            # CMEN's one setting is the top-level "a"; there is no cmena block.
+            ("cmena", "ls_alpha", "(fit): cmena"),
+            ("cmena", "a", "(fit): cmena"),
+            ("newton", "hessian_ridge", "(newton): hessian_ridge"),
+            ("newton", "max_iters", "(newton): max_iters"),
+        ],
+        ids=["cmena-ls_alpha", "cmena-a", "newton-hessian_ridge", "newton-max_iters"],
     )
     def test_fixed_solver_constant_is_unknown_key(
-        self, bag_file, tmp_path, capsys, block, key
+        self, bag_file, tmp_path, capsys, block, key, unknown
     ):
         path, _ = bag_file
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({block: {key: 0.5}}))
+        out = tmp_path / "o"
         code = main([
-            "fit", str(path), "--out", str(tmp_path / "o"), "--solver", "mde",
+            "fit", str(path), "--out", str(out), "--solver", "mde",
             "--m", "8", "--config", str(cfgfile),
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"unknown config keys in {cfgfile} ({block}): {key}" in err
+        assert f"unknown config keys in {cfgfile} {unknown}" in err
+        assert not out.exists()
 
-    def test_cmen_report_counts_work(self, bag_file, tmp_path):
+    def test_cmen_report_counts_work(self, bag_file, tmp_path, monkeypatch):
         # report.json carries CMEN's work counters: every probe is one
         # kernel call, plus one each at the two anchors (zero and the ML
         # matrix); solvers that do not count them write null.
         path, _ = bag_file
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"cmena": {"max_outer": 3}}))
+        monkeypatch.setattr(CmenaConfig, "max_outer", 3)
         out = tmp_path / "cmen"
         assert main([
             "fit", str(path), "--out", str(out), "--solver", "cmen", "--m", "8",
-            "--config", str(cfgfile),
         ]) in (0, 2)
         report = json.loads((out / "report.json").read_text())
         assert report["probes"] >= sum(report["inner_iters"]) > 0
@@ -163,16 +171,16 @@ class TestFitCommand:
         "config, flags, expected",
         [
             ({}, [], 1.0),
-            ({"cmena": {"a": 50}}, [], 50),
-            ({"a": 7, "cmena": {"a": 50}}, [], 7),
-            ({"a": 7, "cmena": {"a": 50}}, ["--a", "3"], 3.0),
+            ({"a": 50}, [], 50),
+            ({}, ["--a", "7"], 7),
+            ({"a": 7}, ["--a", "3"], 3.0),
         ],
     )
     def test_confidence_multiplier_precedence(
         self, bag_file, tmp_path, monkeypatch, config, flags, expected
     ):
-        # --a > config "a" > config "cmena.a" > 1.0, and the resolved config
-        # records the value the solver received.
+        # --a > config "a" > 1.0, and the resolved config records the value
+        # the solver received.
         path, _ = bag_file
         seen = {}
         monkeypatch.setattr(cli, "fit_joint", _stop_with(seen, "fit_joint"))
@@ -352,7 +360,6 @@ class TestPhaseDiagramCommand:
 
     def test_flag_over_config_over_default(self, tmp_path, monkeypatch):
         from maxentmil.maxent import NewtonConfig
-        from maxentmil.solvers import CmenaConfig
 
         seen = {}
         monkeypatch.setattr(cli, "phase_cells", _stop_with(seen, "spec"))
@@ -371,7 +378,7 @@ class TestPhaseDiagramCommand:
         assert resolved["reps"] == 4  # config over default
         assert resolved["n_bags"] == 20  # default
         assert resolved["newton"] == {"grad_tol": 1e-6}
-        assert resolved["cmena"] == {}
+        assert resolved["a"] == 1.0  # default
         (pd,), _ = seen["spec"]
         assert (pd.m_values, pd.t_values, pd.reps, pd.n_bags) == ((12, 16), (3,), 4, 20)
         assert pd.newton == NewtonConfig(grad_tol=1e-6)
@@ -400,6 +407,29 @@ def test_default_newton_is_the_library_default(
     cfg = args[config_arg]
     pd_default = PhaseDiagramSpec(n_bags=2, m_values=(8,), t_values=(2,), n_per_bag=10)
     assert cfg.newton == NewtonConfig() == PipelineConfig().newton == pd_default.newton
+
+
+@pytest.mark.parametrize(
+    "command, target, config_arg",
+    [("classify", "evaluate_split", 2), ("phase-diagram", "phase_cells", 0)],
+)
+def test_top_level_a_reaches_the_solver(
+    bag_file, tmp_path, monkeypatch, command, target, config_arg
+):
+    # classify and phase-diagram take CMEN's confidence multiplier as the
+    # top-level key "a", spelled as fit spells it.
+    path, _ = bag_file
+    seen = {}
+    monkeypatch.setattr(cli, target, _stop_with(seen, "args"))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"a": 4}))
+    positionals = [str(path), str(path)] if command == "classify" else []
+    out = tmp_path / "o"
+    main([command, *positionals, "--out", str(out), "--config", str(cfgfile)])
+    args, _ = seen["args"]
+    assert args[config_arg].cmena == CmenaConfig(a=4)
+    resolved = json.loads((out / "resolved_config.json").read_text())["params"]
+    assert resolved["a"] == 4 and "cmena" not in resolved
 
 
 class TestBoundCheckCommand:
@@ -485,7 +515,7 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, config, message",
     [
-        ("fit", {"cmena": {"max_outer": 0}}, "iteration budgets must be >= 1"),
+        ("fit", {"a": 0}, "a must be positive"),
         ("classify", {"distance": "bogus"}, "distance must be one of"),
         ("phase-diagram", {"reps": 0}, "reps must be >= 1"),
         ("synth", {"mode": "bogus"}, "mode must be"),
@@ -505,6 +535,40 @@ def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, confi
     ])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, config, message",
+    [
+        (
+            ['{"bag_id": "a", "instances": [[0, 1]]}', '{"bag_id": "b", "instances": [[0, 1, 2]]}'],
+            {}, "{bags}: bag 'b' has dimension 3, bag 'a' has 2",
+        ),
+        (
+            ['{"bag_id": "a", "instances": [[0, 1]]}', '{"bag_id": "a", "instances": [[1, 0]]}'],
+            {}, "{bags}: bag id 'a' is repeated",
+        ),
+        (
+            ['{"bag_id": "z", "instances": [[0, 1]]}', '{"bag_id": "a", "instances": [0, 1]}'],
+            {}, "{bags}: line 2: bag 'a' needs a nonempty (n, d) matrix",
+        ),
+        (
+            ['{"bag_id": "a", "instances": [[0, 1]]}'],
+            {"newton": 5}, "{cfg}: newton must be a JSON object",
+        ),
+    ],
+    ids=["dimension", "repeated-id", "flat-instances", "newton-not-object"],
+)
+def test_input_error_names_file_line_and_bag(tmp_path, capsys, lines, config, message):
+    bags = tmp_path / "bags.jsonl"
+    bags.write_text("\n".join(lines) + "\n")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code = main(["fit", str(bags), "--out", str(out), "--m", "8", "--config", str(cfgfile)])
+    assert code == 1
+    assert message.format(bags=bags, cfg=cfgfile) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -625,11 +689,3 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.stdout.strip() == "[]"
 
-
-def test_threads_env_mirror(monkeypatch):
-    from maxentmil.cli import _default_threads
-
-    monkeypatch.setenv("MAXENTMIL_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.delenv("MAXENTMIL_THREADS")
-    assert _default_threads() >= 1

@@ -310,17 +310,19 @@ class TestFitSde:
         logp = engine2d.phi @ fit.lam - fit.logZ
         assert (np.exp(logp) * grid2d.weights).sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_budget_exhaustion_raises_with_grad_norm(self, spec2d, grid2d, engine2d, rng):
+    def test_budget_exhaustion_raises_with_grad_norm(self, spec2d, grid2d, engine2d, rng, monkeypatch):
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
+        monkeypatch.setattr(NewtonConfig, "max_iters", 1)
         with pytest.raises(ConvergenceError) as err:
-            fit_sde(st, spec2d, grid2d, NewtonConfig(max_iters=1), engine=engine2d)
+            fit_sde(st, spec2d, grid2d, NewtonConfig(), engine=engine2d)
         assert err.value.grad_norm is not None and err.value.grad_norm > 0
 
-    def test_relaxed_ladder_reports_note(self, spec2d, grid2d, engine2d, rng):
+    def test_relaxed_ladder_reports_note(self, spec2d, grid2d, engine2d, rng, monkeypatch):
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
-        base = NewtonConfig(max_iters=4, grad_tol=1e-12)
+        monkeypatch.setattr(NewtonConfig, "max_iters", 4)
+        base = NewtonConfig(grad_tol=1e-12)
         dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
         assert notes and "relaxed" in notes[0]
 
@@ -329,7 +331,8 @@ class TestFitSde:
         # costs exactly what one strict attempt costs.
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
-        base = NewtonConfig(max_iters=4, grad_tol=1e-12)
+        monkeypatch.setattr(NewtonConfig, "max_iters", 4)
+        base = NewtonConfig(grad_tol=1e-12)
         calls = []
         original = engine2d.moments
 
@@ -346,7 +349,7 @@ class TestFitSde:
         assert notes
         assert len(calls) == strict
         tol = float(notes[0].rsplit(" ", 1)[1])  # "... relaxed to 1.0e-10"
-        loose = fit_sde(st, spec2d, grid2d, NewtonConfig(max_iters=4, grad_tol=tol), engine=engine2d)
+        loose = fit_sde(st, spec2d, grid2d, NewtonConfig(grad_tol=tol), engine=engine2d)
         np.testing.assert_array_equal(dens.lam, loose.lam)
         assert dens.logZ == loose.logZ
 

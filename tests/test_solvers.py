@@ -110,11 +110,12 @@ class TestFitMde:
         prob = solvers_mod._JointProblem(engine2d_mod, stats)
         assert prob.nll(hat.data) == pytest.approx(total, abs=1e-10)
 
-    def test_aggregated_failure_lists_bags(self, small_problem, spec2d_mod, grid2d_mod, engine2d_mod):
+    def test_aggregated_failure_lists_bags(self, small_problem, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
         from maxentmil.errors import ConvergenceError
 
         _, stats = small_problem
-        strict = NewtonConfig(max_iters=1, grad_tol=1e-14)
+        monkeypatch.setattr(NewtonConfig, "max_iters", 1)
+        strict = NewtonConfig(grad_tol=1e-14)
         with pytest.raises(ConvergenceError) as err:
             fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, strict, engine=engine2d_mod)
         assert len(err.value.failed_bag_ids) == len(stats)
@@ -124,14 +125,14 @@ class TestDefaultAnchor:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda *a, **k: fit_cmen(*a, CmenaConfig(max_outer=2, max_inner=5), **k),
-            lambda *a, **k: fit_rmde(*a, 1.0, CmenaConfig(max_inner=5), **k),
-            lambda *a, **k: rmde_continuation(*a, CmenaConfig(max_inner=5), **k),
-            lambda *a, **k: rmde_cross_validate(*a, [1.0], 0, CmenaConfig(max_inner=5), **k),
+            fit_cmen,
+            lambda *a, **k: fit_rmde(*a, 1.0, **k),
+            rmde_continuation,
+            lambda *a, **k: rmde_cross_validate(*a, [1.0], 0, **k),
         ],
         ids=["fit_cmen", "fit_rmde", "rmde_continuation", "rmde_cross_validate"],
     )
-    def test_relaxation_notes_reach_the_report(self, solve, spec2d_mod, grid2d_mod, engine2d_mod):
+    def test_relaxation_notes_reach_the_report(self, solve, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
         # Bags whose four Newton steps stall above grad_tol 1e-12: without
         # an anchor the solver fits it down the relaxation ladder, as the
         # column fitter does, and reports each relaxation instead of raising.
@@ -140,7 +141,10 @@ class TestDefaultAnchor:
             suff_stats(rng.uniform(-2.9, 2.9, size=(400, 2)), spec2d_mod, f"s{i}")
             for i in range(4)
         ]
-        newton = NewtonConfig(max_iters=4, grad_tol=1e-12)
+        monkeypatch.setattr(CmenaConfig, "max_outer", 2)
+        monkeypatch.setattr(CmenaConfig, "max_inner", 5)
+        monkeypatch.setattr(NewtonConfig, "max_iters", 4)
+        newton = NewtonConfig(grad_tol=1e-12)
         _, notes = fit_columns_relaxed(stats, spec2d_mod, grid2d_mod, newton, engine=engine2d_mod)
         assert notes
         _, report = solve(stats, spec2d_mod, grid2d_mod, newton=newton, engine=engine2d_mod)
