@@ -47,30 +47,53 @@ from .experiments import (
 from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, epsilon_bound, fit_joint
 
 
-def _check_keys(rec: dict, allowed: set, context: str):
-    unknown = sorted(set(rec) - allowed)
+# The JSON types a config value may have, by the type of its default: an
+# int default takes an int and a float default any number (a bool is
+# neither); the None default (pca_dims) takes an int or null.
+_VALUE_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    dict: ("a JSON object", (dict,)),
+    type(None): ("an integer or null", (int, type(None))),
+}
+
+
+def _check_config(rec: dict, defaults: dict, context: str):
+    """Reject a key not in defaults, and a value whose JSON type does not fit
+    its default's; a list default takes a list of values that fit its items."""
+    unknown = sorted(set(rec) - set(defaults))
     if unknown:
         raise ValueError(f"unknown config keys in {context}: {', '.join(unknown)}")
+    for key, value in rec.items():
+        default = defaults[key]
+        if isinstance(default, list):
+            name, types = _VALUE_TYPES[type(default[0])]
+            name = f"a list of {name.split(' ', 1)[1]}s"
+            ok = type(value) is list and all(type(v) in types for v in value)
+        else:
+            name, types = _VALUE_TYPES[type(default)]
+            ok = type(value) in types
+        if not ok:
+            raise ValueError(f"{context}: {key} must be {name}, got {json.dumps(value)}")
 
 
 def _params(args, defaults: dict, newton_block: bool = False) -> dict:
     """A command's resolved parameters. Precedence: the flag named like a
     default > the --config file > the default. The config file may hold
-    exactly the default keys, plus (with newton_block) a "newton" block of
-    NewtonConfig fields, passed through as given. A flag left out, or a
-    list flag given as "", is not given."""
+    exactly the default keys, each of its default's type (_check_config),
+    plus (with newton_block) a "newton" block of NewtonConfig fields. A
+    flag left out, or a list flag given as "", is not given."""
     blocks = {"newton": {}} if newton_block else {}
     config = {}
     if args.config is not None:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        _check_keys(config, {*defaults, *blocks}, f"{args.config} ({args.command})")
+        _check_config(config, {**defaults, **blocks}, f"{args.config} ({args.command})")
         if "newton" in config:
-            if not isinstance(config["newton"], dict):
-                raise ValueError(f"{args.config}: newton must be a JSON object")
-            allowed = {f.name for f in fields(NewtonConfig)}
-            _check_keys(config["newton"], allowed, f"{args.config} (newton)")
+            newton = {f.name: f.default for f in fields(NewtonConfig)}
+            _check_config(config["newton"], newton, f"{args.config} (newton)")
     flags = {
         k: v for k, v in vars(args).items()
         if k in defaults and v is not None and v != []

@@ -9,19 +9,19 @@ class ConvergenceError(RuntimeError):
     Attributes
     ----------
     grad_norm : float | None
-        Inf-norm of the last gradient, when the failing solver is Newton.
+        When the failing solver is Newton, the smallest gradient inf-norm
+        any of its iterates reached.
     failed_bag_ids : list[str]
         Bag ids that failed when fitting many bags at once.
-    iterates : list[tuple]
-        When the failing solver is Newton, (gradient norm, parameter,
-        logZ, feature mean) of every iterate it visited.
+    best : MEDensity | None
+        When the failing solver is Newton, the density of that iterate.
     """
 
-    def __init__(self, message, grad_norm=None, failed_bag_ids=None):
+    def __init__(self, message, grad_norm=None, failed_bag_ids=None, best=None):
         super().__init__(message)
         self.grad_norm = grad_norm
         self.failed_bag_ids = list(failed_bag_ids or [])
-        self.iterates = []
+        self.best = best
 
 
 class GridBudgetError(RuntimeError):

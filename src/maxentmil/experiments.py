@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 import zlib
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -252,6 +251,9 @@ def phase_cells(
     items = [(pd, m, t, rep, thr) for m, t, thr in cells for rep in range(pd.reps)]
     pool = None
     if pd.threads > 1 and len(items) > 1:
+        # Imported here so that commands without a pool do not load it.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=pd.threads)
     results = pool.map(_phase_rep, items, chunksize=1) if pool else map(_phase_rep, items)
     try:

@@ -4,11 +4,10 @@ The solvers share one geometry: the (m, N) parameter matrix whose column
 i is bag i's density parameter.
 
 * fit_columns_relaxed — column-wise maximum likelihood (separable Newton
-                  fits, each down the tolerance-relaxation ladder); the one
-                  column fitter, and the anchor or start of every solver
-                  below that is not handed one.
+                  fits by fit_sde_relaxed); the one column fitter, and the
+                  anchor or start of every solver below that is not handed one.
 * fit_rmde      — likelihood plus eta * nuclear norm, by proximal gradient.
-* rmde_continuation — fit_rmde down a geometric eta ladder.
+* rmde_continuation — fit_rmde down a geometric eta schedule.
 * rmde_cross_validate — fit_rmde at the eta that wins a held-out bag split.
 * fit_cmen      — nuclear-norm minimization subject to the likelihood
                   confidence constraint g(L) <= eps, by proximal gradient
@@ -117,8 +116,8 @@ class FitReport:
     warnings: list = field(default_factory=list)
     converged: bool = True
     wall_time: float = 0.0
-    # Work counters, filled by fit_cmen: proximal candidates evaluated, and
-    # likelihood-kernel calls (log_partition_many + logz_and_mean_many).
+    # Work counters: proximal candidates evaluated (fit_cmen), and likelihood-
+    # kernel calls (log_partition_many + logz_and_mean_many; all but mde).
     probes: int | None = None
     kernel_calls: int | None = None
 
@@ -171,10 +170,10 @@ def fit_columns_relaxed(
     """Unrestricted ML estimate: the objective separates over bags, so each
     column is an independent single-bag fit_sde_relaxed.
 
-    A bag whose Newton system plateaus above the requested gradient
-    tolerance is refit at a looser rung instead of failing the whole
-    matrix; the relaxations used are returned as notes. Raises one
-    ConvergenceError listing every bag that failed at every rung.
+    A bag whose Newton fit stops above the requested gradient tolerance
+    keeps its best iterate instead of failing the whole matrix, and its
+    note is returned. Raises one ConvergenceError listing every bag whose
+    fit missed by more than maxent.RELAX_LIMIT times the tolerance.
     """
     if not stats_list:
         raise ValueError("need at least one bag")
@@ -202,7 +201,7 @@ def fit_columns_relaxed(
 
 def _anchor(stats_list, spec, grid, newton, eng, given):
     """The column-wise ML matrix a solver starts from: given as is (no
-    notes), or fitted by fit_columns_relaxed with its relaxation notes."""
+    notes), or fitted by fit_columns_relaxed with its notes."""
     if given is not None:
         return given, []
     return fit_columns_relaxed(stats_list, spec, grid, newton, engine=eng)
@@ -392,8 +391,8 @@ def fit_cmen(
     when |g - eps| < cons_tol or the budgets run out, returning the
     feasible iterate with the smallest nuclear norm either way; budget
     exhaustion is flagged in the report, never raised. Without lambda_hat
-    the anchor is fitted by fit_columns_relaxed, and its relaxation notes
-    open the report's warnings.
+    the anchor is fitted by fit_columns_relaxed, and its notes open the
+    report's warnings.
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
@@ -505,8 +504,8 @@ def fit_rmde(
     obj_tol. Each iterate is evaluated once (the likelihood value comes
     with the gradient of the step taken from it) and decomposed once (its
     singular values give both the nuclear norm and the traced rank).
-    Without init the start is fit_columns_relaxed's matrix, and its
-    relaxation notes open the report's warnings.
+    Without init the start is fit_columns_relaxed's matrix, and its notes
+    open the report's warnings.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -540,6 +539,7 @@ def fit_rmde(
         report.warnings.append(
             f"prox residual still above obj_tol after {cfg.max_inner} steps"
         )
+    report.kernel_calls = prob.kernel_calls
     report.wall_time = time.perf_counter() - start
     return LambdaMatrix(data=data, bag_ids=init.bag_ids), report
 
@@ -553,13 +553,13 @@ def rmde_continuation(
     engine: BasisGrid | None = None,
     lambda_hat: LambdaMatrix | None = None,
 ) -> tuple[LambdaMatrix, FitReport]:
-    """Solve the penalized problem down a geometric eta ladder.
+    """Solve the penalized problem down a geometric eta schedule.
 
     eta starts at |L_hat|_F^2, decays by 10x per stage, floors at 1e-3 of
     the start, and every stage warm-starts from the previous solution; the
-    per-stage rank trace is kept in the report. Without lambda_hat the
-    ladder starts from fit_columns_relaxed's matrix, and its relaxation
-    notes open the report's warnings.
+    per-stage rank trace and the stages' summed kernel_calls are kept in
+    the report. Without lambda_hat the first stage starts from
+    fit_columns_relaxed's matrix, and its notes open the report's warnings.
     """
     start = time.perf_counter()
     eng = as_engine(spec, grid, engine)
@@ -569,7 +569,7 @@ def rmde_continuation(
     etas = [eta0]
     while etas[-1] > eta_floor * (1.0 + 1e-9):
         etas.append(max(0.1 * etas[-1], eta_floor))
-    report = FitReport(solver="rmde-continuation", etas=etas, warnings=notes)
+    report = FitReport("rmde-continuation", etas=etas, warnings=notes, kernel_calls=0)
     current = lambda_hat
     for eta in etas:
         current, stage = fit_rmde(
@@ -580,6 +580,7 @@ def rmde_continuation(
         report.inner_iters.append(stage.inner_iters[-1])
         report.warnings.extend(f"eta={eta:.6g}: {w}" for w in stage.warnings)
         report.converged = report.converged and stage.converged
+        report.kernel_calls += stage.kernel_calls
     report.wall_time = time.perf_counter() - start
     return current, report
 
@@ -603,7 +604,8 @@ def rmde_cross_validate(
     the column-wise ML matrix (lambda_hat, fitted here when not given);
     its columns are independent, so the training split's start is just
     its training columns. The report is the refit's, with etas [best eta];
-    when the anchor was fitted here, its relaxation notes open the warnings.
+    when the anchor was fitted here, its notes open the warnings. Its
+    kernel_calls counts every fit and the held-out scoring.
     """
     if not etas:
         raise ValueError("etas must be nonempty")
@@ -620,11 +622,12 @@ def rmde_cross_validate(
     hat_train = LambdaMatrix(
         data=lambda_hat.data[:, perm[:n_train]], bag_ids=tuple(s.bag_id for s in train)
     )
-    errors = []
+    errors, kernel_calls = [], 0
     for eta in etas:
-        fitted, _ = fit_rmde(
+        fitted, trained = fit_rmde(
             train, spec, grid, eta, cfg, newton, engine=eng, init=hat_train
         )
+        kernel_calls += trained.kernel_calls + 1
         logz = eng.log_partition_many(fitted.data)
         total = 0.0
         for s in held:
@@ -637,6 +640,7 @@ def rmde_cross_validate(
     )
     report.solver = "rmde-cv"
     report.warnings[:0] = notes
+    report.kernel_calls += kernel_calls
     report.wall_time = time.perf_counter() - start
     return final, report
 
@@ -660,7 +664,7 @@ def fit_joint(
     it to the solver as its anchor or start; "mde" returns it as is. eta is
     the fixed penalty of "rmde", etas and split_seed drive "rmde-cv". The
     report is the solver's, with wall_time covering the column fits too;
-    the relaxation notes of the column fits are appended to its warnings.
+    the column fits' notes are appended to its warnings.
     """
     if name not in JOINT_SOLVERS:
         raise ValueError(f"solver must be one of {JOINT_SOLVERS}, got {name!r}")

@@ -539,6 +539,49 @@ def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, confi
 
 
 @pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("fit", {"a": "x"}, 'a must be a number, got "x"'),
+        ("fit", {"a": True}, "a must be a number, got true"),
+        ("fit", {"margin": None}, "margin must be a number, got null"),
+        ("fit", {"m": "8"}, 'm must be an integer, got "8"'),
+        ("fit", {"m": 8.0}, "m must be an integer, got 8.0"),
+        ("fit", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("fit", {"grid_points": "64"}, 'grid_points must be an integer, got "64"'),
+        ("fit", {"newton": {"grad_tol": "x"}}, 'grad_tol must be a number, got "x"'),
+        ("fit", {"etas": [1, "x"]}, 'etas must be a list of numbers, got [1, "x"]'),
+        ("classify", {"pca_dims": 2.5}, "pca_dims must be an integer or null, got 2.5"),
+        ("classify", {"distance": 3}, "distance must be a string, got 3"),
+        ("phase-diagram", {"m_values": [8, 8.5]}, "m_values must be a list of integers"),
+        ("bound-check", {"a_values": 2}, "a_values must be a list of numbers, got 2"),
+    ],
+    ids=[
+        "a-str", "a-bool", "margin-null", "m-str", "m-float", "seed-float",
+        "grid_points-str", "grad_tol-str", "etas-str-item", "pca_dims-float",
+        "distance-int", "m_values-float-item", "a_values-scalar",
+    ],
+)
+def test_config_value_of_wrong_type_names_file_and_key(
+    bag_file, tmp_path, capsys, command, config, message
+):
+    # A config value must have its default's JSON type (an int default
+    # takes an int, a float default any number, never a bool); the error
+    # names the config file, the block and the key, and nothing is written.
+    path, _ = bag_file
+    positionals = {"fit": [str(path)], "classify": [str(path), str(path)]}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code = main([
+        command, *positionals.get(command, []), "--out", str(out), "--config", str(cfgfile)
+    ])
+    assert code == 1
+    block = "newton" if "newton" in config else command
+    assert f"{cfgfile} ({block}): {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "lines, config, message",
     [
         (
@@ -555,7 +598,7 @@ def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, confi
         ),
         (
             ['{"bag_id": "a", "instances": [[0, 1]]}'],
-            {"newton": 5}, "{cfg}: newton must be a JSON object",
+            {"newton": 5}, "{cfg} (fit): newton must be a JSON object",
         ),
     ],
     ids=["dimension", "repeated-id", "flat-instances", "newton-not-object"],
@@ -675,17 +718,17 @@ def test_synth_fit_bound_check_end_to_end(tmp_path):
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: a fresh interpreter that
     # imports the command line (and with it every module of the package)
-    # loads no scipy module.
+    # loads no scipy module. Nor does it load concurrent.futures, which
+    # only phase_cells' worker pool needs and imports when a pool starts.
     import subprocess
     import sys
 
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import maxentmil.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
-

@@ -4,6 +4,7 @@ import pytest
 from maxentmil.basis import Domain, make_basis, make_tensor_grid
 from maxentmil.errors import ConvergenceError
 from maxentmil.maxent import (
+    RELAX_LIMIT,
     BasisGrid,
     MEDensity,
     NewtonConfig,
@@ -318,17 +319,30 @@ class TestFitSde:
             fit_sde(st, spec2d, grid2d, NewtonConfig(), engine=engine2d)
         assert err.value.grad_norm is not None and err.value.grad_norm > 0
 
-    def test_relaxed_ladder_reports_note(self, spec2d, grid2d, engine2d, rng, monkeypatch):
+    def test_relaxed_fit_note_names_best_gradient(self, spec2d, grid2d, engine2d, rng, monkeypatch):
+        # Four Newton steps stop above grad_tol 1e-12: the fit returns the
+        # best iterate fit_sde kept, and its note names that gradient.
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
         monkeypatch.setattr(NewtonConfig, "max_iters", 4)
         base = NewtonConfig(grad_tol=1e-12)
+        with pytest.raises(ConvergenceError) as err:
+            fit_sde(st, spec2d, grid2d, base, engine=engine2d)
+        best = err.value.best
         dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
-        assert notes and "relaxed" in notes[0]
+        assert notes == [
+            f"bag 'b': Newton stopped at gradient {err.value.grad_norm:.2e}, "
+            "above grad_tol 1.0e-12"
+        ]
+        np.testing.assert_array_equal(dens.lam, best.lam)
+        assert dens.logZ == best.logZ
+        np.testing.assert_array_equal(dens.mean_phi, best.mean_phi)
+        grad_norm = float(np.abs(st.n * (dens.mean_phi - st.phi_bar)).max())
+        assert base.grad_tol < grad_norm == err.value.grad_norm
 
-    def test_relaxed_ladder_is_one_newton_pass(self, spec2d, grid2d, engine2d, rng, monkeypatch):
-        # The Newton path does not depend on the tolerance, so the ladder
-        # costs exactly what one strict attempt costs.
+    def test_relaxed_fit_is_one_newton_pass(self, spec2d, grid2d, engine2d, rng, monkeypatch):
+        # A fit that misses grad_tol costs exactly what one strict attempt
+        # costs: no second Newton pass.
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
         monkeypatch.setattr(NewtonConfig, "max_iters", 4)
@@ -345,13 +359,20 @@ class TestFitSde:
             fit_sde(st, spec2d, grid2d, base, engine=engine2d)
         strict = len(calls)
         calls.clear()
-        dens, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
+        _, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
         assert notes
         assert len(calls) == strict
-        tol = float(notes[0].rsplit(" ", 1)[1])  # "... relaxed to 1.0e-10"
-        loose = fit_sde(st, spec2d, grid2d, NewtonConfig(grad_tol=tol), engine=engine2d)
-        np.testing.assert_array_equal(dens.lam, loose.lam)
-        assert dens.logZ == loose.logZ
+
+    def test_relaxed_fit_raises_beyond_limit(self, spec2d, grid2d, engine2d, rng, monkeypatch):
+        # One Newton step leaves the gradient far above RELAX_LIMIT times
+        # grad_tol: that is an error, not a note.
+        bag = rng.uniform(-2.9, 2.9, size=(400, 2))
+        st = suff_stats(bag, spec2d, "b")
+        monkeypatch.setattr(NewtonConfig, "max_iters", 1)
+        base = NewtonConfig(grad_tol=1e-12)
+        with pytest.raises(ConvergenceError) as err:
+            fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
+        assert err.value.grad_norm > RELAX_LIMIT * base.grad_tol
 
     def test_recovers_sampled_truth_moments(self, spec2d, grid2d, engine2d):
         from maxentmil.experiments import rejection_sample

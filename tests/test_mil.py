@@ -317,8 +317,9 @@ class TestKfold:
 
     def test_library_newton_tolerance_fits_stalled_bag(self):
         # At grad_tol 1e-8, bag b013 of this split stalls at a gradient of
-        # about 2e-6; the third relaxation rung (1e-5) every column fitter
-        # shares lets the split finish instead of raising.
+        # about 2e-6, within RELAX_LIMIT (1000) times the tolerance; every
+        # column fitter keeps such a bag's best iterate with a note, so the
+        # split finishes instead of raising.
         from maxentmil.maxent import NewtonConfig
 
         ds, _ = synth_two_class_bags(40, 500, 16, seed=2)

@@ -133,9 +133,9 @@ class TestDefaultAnchor:
         ids=["fit_cmen", "fit_rmde", "rmde_continuation", "rmde_cross_validate"],
     )
     def test_relaxation_notes_reach_the_report(self, solve, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
-        # Bags whose four Newton steps stall above grad_tol 1e-12: without
-        # an anchor the solver fits it down the relaxation ladder, as the
-        # column fitter does, and reports each relaxation instead of raising.
+        # Bags whose four Newton steps stop above grad_tol 1e-12: without
+        # an anchor the solver fits it as the column fitter does, keeping
+        # each bag's best iterate, and reports each note instead of raising.
         rng = np.random.default_rng(12345)
         stats = [
             suff_stats(rng.uniform(-2.9, 2.9, size=(400, 2)), spec2d_mod, f"s{i}")
@@ -149,6 +149,36 @@ class TestDefaultAnchor:
         assert notes
         _, report = solve(stats, spec2d_mod, grid2d_mod, newton=newton, engine=engine2d_mod)
         assert report.warnings[: len(notes)] == notes
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda *a, lambda_hat, **k: fit_rmde(*a, 5.0, init=lambda_hat, **k),
+        rmde_continuation,
+        lambda *a, **k: rmde_cross_validate(*a, [0.1, 10.0], 0, **k),
+    ],
+    ids=["fit_rmde", "rmde_continuation", "rmde_cross_validate"],
+)
+def test_rmde_reports_count_kernel_calls(solve, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+    # As for fit_cmen, the report's kernel_calls equals the calls of the
+    # two likelihood kernels the engine saw: every stage of the
+    # continuation, and every training-split fit, held-out scoring and the
+    # refit of the cross-validation.
+    hat, stats = hat_and_stats
+    calls = {"log_partition_many": 0, "logz_and_mean_many": 0}
+    for name in calls:
+
+        def counting(data, original=getattr(engine2d_mod, name), name=name):
+            calls[name] += 1
+            return original(data)
+
+        monkeypatch.setattr(engine2d_mod, name, counting)
+    _, report = solve(
+        stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
+    )
+    assert report.probes is None
+    assert report.kernel_calls == sum(calls.values()) > 0
 
 
 class TestFitReport:
