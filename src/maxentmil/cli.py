@@ -4,7 +4,9 @@ Subcommands: fit, phase-diagram, kl-matrix, classify, bound-check, synth,
 bench. Each run takes an optional JSON config file plus flag overrides
 (flags win), checks them, writes its outputs plus a resolved-config copy into
 --out, and exits 0 on success, 2 when a solver finished with warnings, 1 on
-any error, usage errors included. Unknown config keys are rejected.
+any error, usage errors included. Every command but kl-matrix declares its
+settings once, in SETTINGS: each is a config key and a flag spelled like it.
+Unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -47,6 +49,49 @@ from .experiments import (
 from .solvers import DEFAULT_CV_ETAS, JOINT_SOLVERS, CmenaConfig, epsilon_bound, fit_joint
 
 
+# Every setting of every command but kl-matrix, by name and default. The
+# name is the config key and, spelled --name-with-dashes, the flag; the
+# default's type decides how both are checked. A setting with a fixed set
+# of strings is (default, allowed strings). The "newton" block is
+# config-only and holds NewtonConfig's fields.
+SETTINGS = {
+    "fit": {
+        "seed": 0, "m": 20, "solver": ("cmen", JOINT_SOLVERS), "eta": 1.0,
+        "etas": list(DEFAULT_CV_ETAS), "a": CmenaConfig.a, "margin": 0.1,
+        "grid_points": 64, "mc_nodes": 20_000, "cv_split_seed": 0, "newton": {},
+    },
+    "phase-diagram": {
+        "seed": 0, "n_bags": 20, "m_values": [20, 30, 40], "t_values": [2, 5, 10],
+        "n_per_bag": 1000, "reps": 10, "solver": ("cmen", (*PHASE_SOLVERS, "both")),
+        "threads": os.cpu_count() or 1, "d": 2, "domain_halfwidth": 3.0,
+        "grid_points": 64, "a": CmenaConfig.a, "newton": {},
+    },
+    "classify": {
+        "seed": 0, "distance": ("kl-cmen", DISTANCES), "m": 16, "pca_dims": None,
+        "k": 5, "k_prime": 5, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
+        "a": CmenaConfig.a, "newton": {},
+    },
+    "bound-check": {
+        "seed": 0, "n_bags": 5, "m": 10, "n_per_bag": 200, "trials": 200,
+        "a_values": [2.0, 5.0], "grid_points": 64,
+    },
+    "synth": {
+        "seed": 0, "mode": ("lowrank", ("lowrank", "two-class")), "m": 20, "n_bags": 20,
+        "t": 2, "n_per_bag": 1000, "d": 2, "separation": 1.5, "within": 0.2,
+        "grid_points": 64,
+    },
+    "bench": {
+        "seed": 0, "n_linear": [20_000, 40_000], "n_quadratic": [600, 1_200],
+        "m": 20, "repeats": 5,
+    },
+}
+_NEWTON = {f.name: f.default for f in fields(NewtonConfig)}
+
+
+def _default_and_choices(entry):
+    return entry if isinstance(entry, tuple) else (entry, None)
+
+
 # The JSON types a config value may have, by the type of its default: an
 # int default takes an int and a float default any number (a bool is
 # neither); the None default (pca_dims) takes an int or null.
@@ -59,14 +104,15 @@ _VALUE_TYPES = {
 }
 
 
-def _check_config(rec: dict, defaults: dict, context: str):
-    """Reject a key not in defaults, and a value whose JSON type does not fit
-    its default's; a list default takes a list of values that fit its items."""
-    unknown = sorted(set(rec) - set(defaults))
+def _check_config(rec: dict, table: dict, context: str):
+    """Reject a key not in table, a value whose JSON type does not fit its
+    default's (a list default takes a list of values that fit its items),
+    and a string outside its allowed strings."""
+    unknown = sorted(set(rec) - set(table))
     if unknown:
         raise ValueError(f"unknown config keys in {context}: {', '.join(unknown)}")
     for key, value in rec.items():
-        default = defaults[key]
+        default, choices = _default_and_choices(table[key])
         if isinstance(default, list):
             name, types = _VALUE_TYPES[type(default[0])]
             name = f"a list of {name.split(' ', 1)[1]}s"
@@ -76,29 +122,32 @@ def _check_config(rec: dict, defaults: dict, context: str):
             ok = type(value) in types
         if not ok:
             raise ValueError(f"{context}: {key} must be {name}, got {json.dumps(value)}")
+        if choices is not None and value not in choices:
+            raise ValueError(
+                f"{context}: {key} must be one of {', '.join(choices)}, got {json.dumps(value)}"
+            )
 
 
-def _params(args, defaults: dict, newton_block: bool = False) -> dict:
-    """A command's resolved parameters. Precedence: the flag named like a
-    default > the --config file > the default. The config file may hold
-    exactly the default keys, each of its default's type (_check_config),
-    plus (with newton_block) a "newton" block of NewtonConfig fields. A
-    flag left out, or a list flag given as "", is not given."""
-    blocks = {"newton": {}} if newton_block else {}
+def _params(args) -> dict:
+    """The command's resolved SETTINGS. Precedence: the flag > the --config
+    file > the default. The config file may hold the command's settings
+    only, each checked by _check_config. A flag left out, or a list flag
+    given as "", is not given."""
+    table = SETTINGS[args.command]
     config = {}
     if args.config is not None:
         config = json.loads(Path(args.config).read_text())
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        _check_config(config, {**defaults, **blocks}, f"{args.config} ({args.command})")
+        _check_config(config, table, f"{args.config} ({args.command})")
         if "newton" in config:
-            newton = {f.name: f.default for f in fields(NewtonConfig)}
-            _check_config(config["newton"], newton, f"{args.config} (newton)")
+            _check_config(config["newton"], _NEWTON, f"{args.config} (newton)")
+    defaults = {k: _default_and_choices(entry)[0] for k, entry in table.items()}
     flags = {
         k: v for k, v in vars(args).items()
-        if k in defaults and v is not None and v != []
+        if k in table and v is not None and v != []
     }
-    return {**defaults, **blocks, **config, **flags}
+    return {**defaults, **config, **flags}
 
 
 def _prepare_out(out_dir, command: str, resolved: dict) -> Path:
@@ -120,13 +169,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_fit(args) -> int:
-    params = _params(args, {
-        "seed": 0, "m": 20, "solver": "cmen", "eta": 1.0, "etas": list(DEFAULT_CV_ETAS),
-        "a": CmenaConfig.a, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
-        "cv_split_seed": 0,
-    }, newton_block=True)
-    if params["solver"] not in JOINT_SOLVERS:
-        raise ValueError(f"solver must be one of {JOINT_SOLVERS}")
+    params = _params(args)
     dataset = read_bags(args.dataset)
     newton = NewtonConfig(**params["newton"])
     cmena = CmenaConfig(a=params["a"])
@@ -168,13 +211,11 @@ def cmd_kl_matrix(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    params = _params(args, {
-        "seed": 0, "distance": "kl-cmen", "m": 16, "pca_dims": None, "k": 5,
-        "k_prime": 5, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
-        "a": CmenaConfig.a,
-    }, newton_block=True)
+    params = _params(args)
     train = read_bags(args.train)
     test = read_bags(args.test)
+    if params["k"] > len(train.bags):
+        raise ValueError(f"k={params['k']} exceeds the {len(train.bags)} training bags")
     pipe = PipelineConfig(
         distance=params["distance"],
         m=params["m"],
@@ -236,11 +277,7 @@ def _run_phase_for_solver(pd: PhaseDiagramSpec, out: Path, solver: str) -> list[
 
 
 def cmd_phase_diagram(args) -> int:
-    params = _params(args, {
-        "seed": 0, "n_bags": 20, "m_values": [20, 30, 40], "t_values": [2, 5, 10],
-        "n_per_bag": 1000, "reps": 10, "solver": "cmen", "threads": os.cpu_count() or 1,
-        "d": 2, "domain_halfwidth": 3.0, "grid_points": 64, "a": CmenaConfig.a,
-    }, newton_block=True)
+    params = _params(args)
     if params["solver"] == "both":
         solvers = ["cmen", "rmde-continuation"]
     else:
@@ -269,10 +306,7 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_bound_check(args) -> int:
-    params = _params(args, {
-        "seed": 0, "n_bags": 5, "m": 10, "n_per_bag": 200, "trials": 200,
-        "a_values": [2.0, 5.0], "grid_points": 64,
-    })
+    params = _params(args)
     fractions, sums = markov_bound_trial(
         params["n_bags"], params["m"], params["n_per_bag"], params["trials"],
         params["a_values"], params["seed"], grid_points=params["grid_points"],
@@ -297,12 +331,7 @@ def cmd_bound_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = _params(args, {
-        "seed": 0, "mode": "lowrank", "m": 20, "n_bags": 20, "t": 2, "n_per_bag": 1000,
-        "d": 2, "separation": 1.5, "within": 0.2, "grid_points": 64,
-    })
-    if params["mode"] not in ("lowrank", "two-class"):
-        raise ValueError("mode must be 'lowrank' or 'two-class'")
+    params = _params(args)
     out = _prepare_out(args.out, "synth", params)
     if params["mode"] == "two-class":
         dataset, truth = synth_two_class_bags(
@@ -334,10 +363,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    params = _params(args, {
-        "seed": 0, "n_linear": [20_000, 40_000], "n_quadratic": [600, 1_200],
-        "m": 20, "repeats": 5,
-    })
+    params = _params(args)
     out = _prepare_out(args.out, "bench", params)
     rows = runtime_benchmark(
         n_linear=tuple(params["n_linear"]),
@@ -351,6 +377,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _add_setting(parser, name: str, entry):
+    """The flag --name-with-dashes of one SETTINGS entry, parsed by its
+    default's type: a comma list for a list default, an int for None."""
+    default, choices = _default_and_choices(entry)
+    if isinstance(default, dict):  # the config-only newton block
+        return
+    kwargs = {"choices": choices, "help": f"default: {default}"}
+    if isinstance(default, list):
+        kwargs["type"] = _int_list if type(default[0]) is int else _float_list
+        kwargs["help"] = f"comma list, default: {','.join(map(str, default))}"
+    elif choices is None:
+        kwargs["type"] = int if default is None else type(default)
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxentmil",
@@ -359,92 +400,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit bag densities and write a model file")
-    p.add_argument("dataset", help="bags file (.jsonl or .csv)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--solver", choices=JOINT_SOLVERS)
-    p.add_argument("--m", type=int, help="feature count (even)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eta", type=float, help="penalty weight for solver=rmde")
-    p.add_argument("--a", type=float, help="confidence multiplier for solver=cmen")
-    p.add_argument("--margin", type=float, help="domain margin fraction")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.set_defaults(handler=cmd_fit)
-
-    p = sub.add_parser("phase-diagram", help="rank-recovery sweep over (m, T)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--solver", choices=(*PHASE_SOLVERS, "both"))
-    p.add_argument("--n-bags", type=int, dest="n_bags")
-    p.add_argument(
-        "--m-values", type=_int_list, dest="m_values", help="comma list, e.g. 20,30,40"
-    )
-    p.add_argument(
-        "--t-values", type=_int_list, dest="t_values", help="comma list, e.g. 2,5,10"
-    )
-    p.add_argument("--n-per-bag", type=int, dest="n_per_bag")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(handler=cmd_phase_diagram)
-
-    p = sub.add_parser("kl-matrix", help="pairwise symmetric KL of a fitted model")
-    p.add_argument("model", help="model.json from fit")
-    p.add_argument("--out", required=True)
-    p.add_argument(
-        "--gamma", type=float,
-        help="also export the kernel exp(-gamma * distance) for external use",
-    )
-    p.set_defaults(handler=cmd_kl_matrix)
-
-    p = sub.add_parser("classify", help="train on one bag file, predict another")
-    p.add_argument("train")
-    p.add_argument("test")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--distance", choices=DISTANCES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pca-dims", type=int, dest="pca_dims")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-prime", type=int, dest="k_prime")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("bound-check", help="Monte Carlo check of the KL radius")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--n-bags", type=int, dest="n_bags")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-per-bag", type=int, dest="n_per_bag")
-    p.add_argument("--trials", type=int)
-    p.add_argument(
-        "--a-values", type=_float_list, dest="a_values", help="comma list, e.g. 2,5"
-    )
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=cmd_bound_check)
-
-    p = sub.add_parser("synth", help="generate synthetic bag datasets")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--mode", choices=("lowrank", "two-class"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-bags", type=int, dest="n_bags")
-    p.add_argument("--t", type=int)
-    p.add_argument("--n-per-bag", type=int, dest="n_per_bag")
-    p.add_argument("--d", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=cmd_synth)
-
-    p = sub.add_parser("bench", help="runtime scaling probes")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=cmd_bench)
-
+    commands = [
+        ("fit", cmd_fit, "fit bag densities and write a model file",
+         {"dataset": "bags file (.jsonl or .csv)"}),
+        ("phase-diagram", cmd_phase_diagram, "rank-recovery sweep over (m, T)", {}),
+        ("kl-matrix", cmd_kl_matrix, "pairwise symmetric KL of a fitted model",
+         {"model": "model.json from fit"}),
+        ("classify", cmd_classify, "train on one bag file, predict another",
+         {"train": "training bags file", "test": "bags file to classify"}),
+        ("bound-check", cmd_bound_check, "Monte Carlo check of the KL radius", {}),
+        ("synth", cmd_synth, "generate synthetic bag datasets", {}),
+        ("bench", cmd_bench, "runtime scaling probes", {}),
+    ]
+    for command, handler, help_text, positionals in commands:
+        p = sub.add_parser(command, help=help_text)
+        for name, text in positionals.items():
+            p.add_argument(name, help=text)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(handler=handler)
+        if command == "kl-matrix":
+            p.add_argument(
+                "--gamma", type=float,
+                help="also export the kernel exp(-gamma * distance) for external use",
+            )
+            continue
+        p.add_argument("--config", help="JSON config file")
+        for name, entry in SETTINGS[command].items():
+            _add_setting(p, name, entry)
     return parser
 
 

@@ -168,6 +168,13 @@ class PhaseDiagramSpec:
             raise ValueError("reps must be >= 1")
         if self.solver not in PHASE_SOLVERS:
             raise ValueError(f"solver must be one of {PHASE_SOLVERS}")
+        if self.n_per_bag < 1:
+            raise ValueError("n_per_bag must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        for t in self.t_values:
+            if t > self.n_bags:
+                raise ValueError(f"true rank {t} must be <= bag count {self.n_bags}")
         for m in self.m_values:
             check_feature_count(m)
             for t in self.t_values:
@@ -300,6 +307,8 @@ def markov_bound_trial(
     """
     if trials < 50:
         raise ValueError("need at least 50 trials")
+    # Checks n_bags, m and every a before the first draw.
+    radii = {float(a): epsilon_bound(n_bags, m, a) for a in a_values}
     grid = synth_box_grid(3.0, d, grid_points)
     sums = np.empty(trials)
     for trial in range(trials):
@@ -316,10 +325,7 @@ def markov_bound_trial(
             fitted, _ = fit_sde_relaxed(stats, spec, grid, engine=engine)
             total += stats.n * kl(fitted, dens)
         sums[trial] = total
-    fractions = {
-        float(a): float((sums >= epsilon_bound(n_bags, m, a)).mean())
-        for a in a_values
-    }
+    fractions = {a: float((sums >= eps).mean()) for a, eps in radii.items()}
     return fractions, sums
 
 

@@ -235,7 +235,7 @@ def epsilon_bound(n_bags: int, m: int, a: float) -> float:
     """Parameter-free confidence radius a * n_bags * m / 2 for the total
     weighted KL estimation error."""
     if n_bags < 1 or m < 1 or a <= 0:
-        raise ValueError("n_bags, m and a must be positive")
+        raise ValueError(f"n_bags, m and a must be positive, got {n_bags}, {m} and {a}")
     return a * n_bags * m / 2.0
 
 

@@ -371,9 +371,11 @@ class TestPhaseDiagramCommand:
         main([
             "phase-diagram", "--out", str(out), "--config", str(cfgfile),
             "--m-values", "12,16", "--t-values", "", "--solver", "cmen",
+            "--grid-points", "32",
         ])
         resolved = json.loads((out / "resolved_config.json").read_text())["params"]
         assert resolved["m_values"] == [12, 16]  # flag over config
+        assert resolved["grid_points"] == 32  # flag over default
         assert resolved["t_values"] == [3]  # an empty list flag is not given
         assert resolved["reps"] == 4  # config over default
         assert resolved["n_bags"] == 20  # default
@@ -381,6 +383,7 @@ class TestPhaseDiagramCommand:
         assert resolved["a"] == 1.0  # default
         (pd,), _ = seen["spec"]
         assert (pd.m_values, pd.t_values, pd.reps, pd.n_bags) == ((12, 16), (3,), 4, 20)
+        assert pd.grid_points == 32
         assert pd.newton == NewtonConfig(grad_tol=1e-6)
         assert pd.cmena == CmenaConfig()
 
@@ -410,22 +413,31 @@ def test_default_newton_is_the_library_default(
 
 
 @pytest.mark.parametrize(
-    "command, target, config_arg",
-    [("classify", "evaluate_split", 2), ("phase-diagram", "phase_cells", 0)],
+    "command, target, config_arg, config, flags",
+    [
+        ("classify", "evaluate_split", 2, {"a": 4}, []),
+        ("phase-diagram", "phase_cells", 0, {"a": 4}, []),
+        ("classify", "evaluate_split", 2, {}, ["--a", "4"]),
+        ("phase-diagram", "phase_cells", 0, {}, ["--a", "4"]),
+    ],
+    ids=[
+        "classify-evaluate_split-2", "phase-diagram-phase_cells-0",
+        "classify-flag", "phase-diagram-flag",
+    ],
 )
 def test_top_level_a_reaches_the_solver(
-    bag_file, tmp_path, monkeypatch, command, target, config_arg
+    bag_file, tmp_path, monkeypatch, command, target, config_arg, config, flags
 ):
     # classify and phase-diagram take CMEN's confidence multiplier as the
-    # top-level key "a", spelled as fit spells it.
+    # top-level key "a" and the flag --a, spelled as fit spells them.
     path, _ = bag_file
     seen = {}
     monkeypatch.setattr(cli, target, _stop_with(seen, "args"))
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"a": 4}))
+    cfgfile.write_text(json.dumps(config))
     positionals = [str(path), str(path)] if command == "classify" else []
     out = tmp_path / "o"
-    main([command, *positionals, "--out", str(out), "--config", str(cfgfile)])
+    main([command, *positionals, "--out", str(out), "--config", str(cfgfile), *flags])
     args, _ = seen["args"]
     assert args[config_arg].cmena == CmenaConfig(a=4)
     resolved = json.loads((out / "resolved_config.json").read_text())["params"]
@@ -484,7 +496,9 @@ class TestBenchCommand:
 
 def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
     # An option that is not among its command's resolved parameters would
-    # be parsed and then silently ignored.
+    # be parsed and then silently ignored; a resolved parameter other than
+    # the config-only newton block that is not an argument could be set
+    # from a config file only.
     path, _ = bag_file
     run = tmp_path / "fit"
     assert main(["fit", str(path), "--out", str(run), "--solver", "mde", "--m", "8"]) == 0
@@ -505,33 +519,63 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
             a.dest for a in parser._actions
             if a.option_strings and a.dest not in ("help", "out", "config")
         }
+        arguments = options | {a.dest for a in parser._actions if not a.option_strings}
         seen.clear()
         main([command, *positionals.get(command, []), "--out", str(tmp_path / "o")])
         (_, resolved_command, params), _ = seen["resolved"]
         assert resolved_command == command
         assert options <= set(params), (command, sorted(options - set(params)))
+        unset = set(params) - {"newton"} - arguments
+        assert not unset, (command, sorted(unset))
 
 
 @pytest.mark.parametrize(
     "command, config, message",
+    # config is a config file's contents, or a list of flags
     [
         ("fit", {"a": 0}, "a must be positive"),
         ("classify", {"distance": "bogus"}, "distance must be one of"),
         ("phase-diagram", {"reps": 0}, "reps must be >= 1"),
-        ("synth", {"mode": "bogus"}, "mode must be"),
+        ("synth", {"mode": "bogus"}, "mode must be one of"),
         ("phase-diagram", {"m_values": [9], "t_values": [2]}, "feature count m must be even"),
         ("bound-check", {"trials": 10}, "need at least 50 trials"),
+        ("fit", {"solver": "bogus"}, "solver must be one of"),
+        ("phase-diagram", {"solver": "mde"}, "solver must be one of"),
+        ("bound-check", {"a_values": [0.0]}, "n_bags, m and a must be positive, got 5, 10 and 0.0"),
+        ("bound-check", ["--a-values", "0,-1"], "must be positive, got 5, 10 and 0.0"),
+        ("phase-diagram", ["--n-per-bag", "0"], "n_per_bag must be >= 1"),
+        ("phase-diagram", {"threads": 0}, "threads must be >= 1"),
+        ("phase-diagram", ["--n-bags", "1", "--t-values", "2"], "true rank 2 must be <= bag count 1"),
+        ("classify", ["--k", "20"], "k=20 exceeds the 8 training bags"),
     ],
-    ids=["fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check"],
+    ids=[
+        "fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check",
+        "fit-solver", "phase-diagram-solver", "bound-check-a", "bound-check-a-flag",
+        "phase-diagram-n_per_bag-flag", "phase-diagram-threads", "phase-diagram-t-flag",
+        "classify-k-flag",
+    ],
 )
-def test_bad_parameter_writes_nothing(bag_file, tmp_path, capsys, command, config, message):
+def test_bad_parameter_writes_nothing(
+    bag_file, tmp_path, capsys, monkeypatch, command, config, message
+):
+    # The value is rejected before any joint fit or trial starts.
+    import maxentmil.experiments as experiments
+    import maxentmil.mil as mil
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    for module, name in ((cli, "fit_joint"), (mil, "fit_joint"), (experiments, "make_basis")):
+        monkeypatch.setattr(module, name, no_work)
     path, _ = bag_file
     positionals = {"fit": [str(path)], "classify": [str(path), str(path)]}
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(config))
+    cfgfile.write_text(json.dumps(config if isinstance(config, dict) else {}))
+    flags = [] if isinstance(config, dict) else config
     out = tmp_path / "o"
     code = main([
-        command, *positionals.get(command, []), "--out", str(out), "--config", str(cfgfile)
+        command, *positionals.get(command, []), "--out", str(out), "--config", str(cfgfile),
+        *flags,
     ])
     assert code == 1
     assert message in capsys.readouterr().err

@@ -257,6 +257,16 @@ class TestMarkovBound:
         with pytest.raises(ValueError):
             markov_bound_trial(2, 4, 50, trials=10, a_values=[2.0], seed=0)
 
+    def test_nonpositive_a_rejected_before_any_draw(self, monkeypatch):
+        import maxentmil.experiments as experiments
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "make_basis", no_draw)
+        with pytest.raises(ValueError, match="must be positive, got 2, 4 and -1.0"):
+            markov_bound_trial(2, 4, 50, trials=50, a_values=[2.0, -1.0], seed=0)
+
 
 class TestTwoClassSynth:
     def test_structure(self):
