@@ -40,6 +40,7 @@ from .lowrank import (
     nuclear_norm,
     numeric_rank,
     rank_ladder_svd,
+    shrink,
     soft_threshold,
     svd,
 )

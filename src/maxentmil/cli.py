@@ -2,11 +2,13 @@
 
 Subcommands: fit, phase-diagram, kl-matrix, classify, bound-check, synth,
 bench. Each run takes an optional JSON config file plus flag overrides
-(flags win), checks them, writes its outputs plus a resolved-config copy into
---out, and exits 0 on success, 2 when a solver finished with warnings, 1 on
-any error, usage errors included. Every command but kl-matrix declares its
-settings once, in SETTINGS: each is a config key and a flag spelled like it.
-Unknown config keys are rejected.
+(flags win), checks them, does its work, and only then writes its outputs
+plus a resolved-config copy into --out (phase-diagram alone creates --out
+first, to write each finished cell so that a rerun resumes), and exits 0 on
+success, 2 when a solver finished with warnings, 1 on any error, usage
+errors included. Every command but kl-matrix declares its settings once, in
+SETTINGS: each is a config key and a flag spelled like it. Unknown config
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -177,7 +179,6 @@ def cmd_fit(args) -> int:
     domain = domain_from_data(dataset.pooled_instances(), params["margin"])
     grid = make_auto_grid(domain, params["grid_points"], params["mc_nodes"], params["seed"])
     check_grid_resolution(spec, grid)
-    out = _prepare_out(args.out, "fit", params)
     engine = BasisGrid(spec, grid)
     stats = [suff_stats(b.instances, spec, b.bag_id) for b in dataset.bags]
     name = params["solver"]
@@ -186,6 +187,7 @@ def cmd_fit(args) -> int:
         eta=params["eta"], etas=params["etas"], split_seed=params["cv_split_seed"],
     )
     densities = densities_from_columns(matrix.data, matrix.bag_ids, spec, grid, engine)
+    out = _prepare_out(args.out, "fit", params)
     write_json(
         out / "model.json",
         model_to_dict(spec, domain, grid, densities, [s.n for s in stats], name),
@@ -199,10 +201,10 @@ def cmd_kl_matrix(args) -> int:
     if args.gamma is not None and args.gamma <= 0:
         raise ValueError("gamma must be positive")
     spec, _domain, _grid, densities, _ns, _raw = load_model(args.model)
+    matrix = sym_kl_matrix(densities)
     out = _prepare_out(
         args.out, "kl-matrix", {"model": str(args.model), "gamma": args.gamma}
     )
-    matrix = sym_kl_matrix(densities)
     ids = [d.bag_id for d in densities]
     write_matrix_csv(matrix, ids, out / "kl_matrix.csv")
     if args.gamma is not None:
@@ -228,8 +230,8 @@ def cmd_classify(args) -> int:
         cmena=CmenaConfig(a=params["a"]),
         newton=NewtonConfig(**params["newton"]),
     )
-    out = _prepare_out(args.out, "classify", params)
     records = evaluate_split(train, test, pipe)
+    out = _prepare_out(args.out, "classify", params)
     write_predictions_jsonl(records, out / "predictions.jsonl")
     labeled = [r for r in records if r["true"] is not None]
     accuracy = (
@@ -332,7 +334,6 @@ def cmd_bound_check(args) -> int:
 
 def cmd_synth(args) -> int:
     params = _params(args)
-    out = _prepare_out(args.out, "synth", params)
     if params["mode"] == "two-class":
         dataset, truth = synth_two_class_bags(
             params["n_bags"], params["n_per_bag"], params["m"], params["seed"],
@@ -357,6 +358,7 @@ def cmd_synth(args) -> int:
                 for i, bid in enumerate(matrix.bag_ids)
             },
         }
+    out = _prepare_out(args.out, "synth", params)
     write_bags_jsonl(dataset, out / "dataset.jsonl")
     write_json(out / "truth.json", truth)
     return 0
@@ -364,7 +366,6 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     params = _params(args)
-    out = _prepare_out(args.out, "bench", params)
     rows = runtime_benchmark(
         n_linear=tuple(params["n_linear"]),
         n_quadratic=tuple(params["n_quadratic"]),
@@ -372,6 +373,7 @@ def cmd_bench(args) -> int:
         seed=params["seed"],
         repeats=params["repeats"],
     )
+    out = _prepare_out(args.out, "bench", params)
     write_json(out / "bench.json", rows)
     write_csv_table(out / "bench.csv", ("op", "n", "seconds"), rows)
     return 0

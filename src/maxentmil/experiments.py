@@ -443,6 +443,8 @@ def runtime_benchmark(
     runs on smaller sizes). Each timing is the best of `repeats` runs.
     Returns machine-readable rows {op, n, seconds}.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     from .mil import avg_hausdorff, sym_kl_matrix
 
     d = 2

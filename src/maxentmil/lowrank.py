@@ -1,6 +1,6 @@
 """Spectral operators: SVD access, singular values, nuclear norm,
-singular-value soft-thresholding, numeric rank, and the SVD truncated at a
-cut."""
+singular-value soft-thresholding (shrink also returns the shrunk
+spectrum), numeric rank, and the SVD truncated at a cut."""
 
 from __future__ import annotations
 
@@ -49,17 +49,25 @@ def nuclear_norm(x: np.ndarray) -> float:
     return float(singular_values(_check_finite(x)).sum())
 
 
+def shrink(x: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular-value soft-thresholding that also returns the result's
+    spectrum: (soft_threshold(x, alpha), its singular values, descending).
+    A caller that needs the new matrix's nuclear norm or rank reads it
+    from the spectrum instead of decomposing the matrix again."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    f = svd(x)
+    shrunk = np.maximum(f.s - alpha, 0.0)
+    return (f.u * shrunk) @ f.v.T, shrunk
+
+
 def soft_threshold(x: np.ndarray, alpha: float) -> np.ndarray:
     """Shrink singular values by alpha and truncate at zero.
 
     This is the proximal map of alpha * nuclear norm; a singular value
     exactly equal to alpha maps to zero.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    f = svd(x)
-    shrunk = np.maximum(f.s - alpha, 0.0)
-    return (f.u * shrunk) @ f.v.T
+    return shrink(x, alpha)[0]
 
 
 def numeric_rank(x: np.ndarray, threshold: float) -> int:

@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConvergenceError
-from .lowrank import nuclear_norm, numeric_rank, singular_values, soft_threshold, svd
+from .lowrank import shrink, singular_values, svd
 from .maxent import (
     BasisGrid,
     NewtonConfig,
@@ -251,8 +251,9 @@ def lipschitz_tau(stats_list: list[SufficientStats], m: int) -> float:
     return float(m * max(s.n for s in stats_list))
 
 
-def _prox_data(data: np.ndarray, z: float, tau: float, grad: np.ndarray) -> np.ndarray:
-    return soft_threshold(data - grad / tau, 1.0 / (tau * z))
+def _prox(data, grad, tau, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Both solvers' proximal step, shrinking at alpha: (iterate, its spectrum)."""
+    return shrink(data - grad / tau, alpha)
 
 
 def prox_step(
@@ -265,9 +266,8 @@ def prox_step(
     grad = np.asarray(grad, dtype=float)
     if grad.shape != Lambda0.data.shape:
         raise ValueError("gradient shape must match Lambda0")
-    return LambdaMatrix(
-        data=_prox_data(Lambda0.data, z, tau, grad), bag_ids=Lambda0.bag_ids
-    )
+    data, _ = _prox(Lambda0.data, grad, tau, 1.0 / (tau * z))
+    return LambdaMatrix(data=data, bag_ids=Lambda0.bag_ids)
 
 
 def _majorized(g_cand, g_bar, diff, grad_bar, tau) -> bool:
@@ -285,7 +285,7 @@ def line_search(
     g_and_grad,
     g_bar: float,
     grad_bar: np.ndarray,
-) -> tuple[float, np.ndarray, bool, float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, np.ndarray, bool, float, np.ndarray, int]:
     """One backtracking proximal step from lambda_bar.
 
     The first probe is optimistic: tau = max(LS_ALPHA * tau_prev,
@@ -297,10 +297,10 @@ def line_search(
     Backtracking from an optimistic step as in Beck & Teboulle (2009) and
     Scheinberg, Goldfarb & Bai (2014).
 
-    Returns (accepted tau, accepted candidate, whether it satisfies the
-    majorization, g and its gradient at the candidate, probes made). The
-    flag is False only if the candidate at tau_lip itself fails, which
-    then is the one returned.
+    Returns (accepted tau, accepted candidate, its singular values, whether
+    it satisfies the majorization, g and its gradient at the candidate,
+    probes made). The flag is False only if the candidate at tau_lip
+    itself fails, which then is the one returned.
     """
     if tau_prev <= 0 or tau_lip <= 0:
         raise ValueError("tau_prev and tau_lip must be positive")
@@ -308,12 +308,12 @@ def line_search(
     grow = 1.0 / LS_ALPHA
     probes = 0
     while True:
-        cand = _prox_data(lambda_bar, z, tau, grad_bar)
+        cand, s_cand = _prox(lambda_bar, grad_bar, tau, 1.0 / (tau * z))
         g_cand, grad_cand = g_and_grad(cand)
         probes += 1
         ok = _majorized(g_cand, g_bar, cand - lambda_bar, grad_bar, tau)
         if ok or tau >= tau_lip:
-            return tau, cand, ok, g_cand, grad_cand, probes
+            return tau, cand, s_cand, ok, g_cand, grad_cand, probes
         tau = min(tau * grow, tau_lip)
         grow = grow * grow
 
@@ -326,41 +326,40 @@ def _cmen_inner(
     tau_lip: float,
     max_inner: int,
     cfg: CmenaConfig,
-) -> tuple[tuple, int, int, bool, float]:
+) -> tuple[tuple, int, int, bool]:
     """Proximal gradient with an adaptive step on |L|_* + z*(g(L) - eps) at
-    fixed z, from the warm state start = (iterate, tau, g, gradient).
+    fixed z, from the warm state start = (iterate, its singular values,
+    tau, g, gradient).
 
     Each step is one line_search from the current iterate; the accepted
     probe's g and gradient serve the next step, so a step costs one
     likelihood-kernel call (logz_and_mean_many) per probe and the solve
     makes no other. Stops when the iterate stops moving, when the
     Lagrangian and g both stall, or after max_inner steps. Returns the
-    last state, the step and probe counts, whether every accepted step
-    passed the majorization check, and the last iterate's nuclear norm.
+    last state, the step and probe counts, and whether every accepted
+    step passed the majorization check.
     """
 
     def g_of(data):
         nll, grad = prob.nll_and_grad(data)
         return nll - nll_hat, grad
 
-    cur, tau, g_cur, grad_cur = start
-    nuc_cur = nuclear_norm(cur)
-    lagr_cur = nuc_cur + z * g_cur
+    cur, s_cur, tau, g_cur, grad_cur = start
+    lagr_cur = float(s_cur.sum()) + z * g_cur
     all_ok = True
     probes = 0
     for steps in range(1, max_inner + 1):
-        tau, cand, ok, g_cand, grad_cand, n = line_search(
+        tau, cand, s_cand, ok, g_cand, grad_cand, n = line_search(
             cur, z, tau, tau_lip, g_of, g_cur, grad_cur
         )
         probes += n
         all_ok = all_ok and ok
-        nuc_cand = nuclear_norm(cand)
-        lagr_cand = nuc_cand + z * g_cand
+        lagr_cand = float(s_cand.sum()) + z * g_cand
         delta_lagr = lagr_cur - lagr_cand
         delta_g = abs(g_cand - g_cur)
         moved = float(np.linalg.norm(cand - cur))
         scale = max(1.0, float(np.linalg.norm(cur)))
-        cur, g_cur, grad_cur, nuc_cur, lagr_cur = cand, g_cand, grad_cand, nuc_cand, lagr_cand
+        cur, s_cur, g_cur, grad_cur, lagr_cur = cand, s_cand, g_cand, grad_cand, lagr_cand
         # Near-stationary for this z: the iterate stopped moving.
         if moved <= 1e-5 * scale:
             break
@@ -369,7 +368,7 @@ def _cmen_inner(
         # stall must be joint.
         if delta_lagr < cfg.obj_tol and delta_g < 0.1 * cfg.cons_tol:
             break
-    return (cur, tau, g_cur, grad_cur), steps, probes, all_ok, nuc_cur
+    return (cur, s_cur, tau, g_cur, grad_cur), steps, probes, all_ok
 
 
 def fit_cmen(
@@ -418,19 +417,19 @@ def fit_cmen(
         report.wall_time = time.perf_counter() - start
         return LambdaMatrix(data=zero, bag_ids=lambda_hat.bag_ids), report
 
-    best = lambda_hat.data
-    best_nuc = nuclear_norm(best)
+    s_hat = singular_values(lambda_hat.data)
+    best, best_nuc = lambda_hat.data, float(s_hat.sum())
     z_lo, z_hi = 0.0, 1.0
-    # Warm primal state per bracket endpoint: (iterate, accepted tau, g,
-    # gradient), so no solve evaluates its start again. The zero matrix is
-    # the exact solution of the z -> 0 end; the ML estimate (g = 0)
-    # anchors the high end. A midpoint is solved from BOTH endpoints on
-    # half budgets and the lower-Lagrangian result wins: the two endpoint
-    # families (near-zero vs near-ML boundary solutions) are cheap to
-    # approach from opposite sides, and the contest picks the cheap side
-    # automatically.
-    warm_lo = (zero, tau0, g_zero, grad_zero)
-    warm_hi = (lambda_hat.data, tau0, 0.0, grad_hat)
+    # Warm primal state per bracket endpoint: (iterate, its singular values,
+    # accepted tau, g, gradient), so no solve evaluates or decomposes its
+    # start again. The zero matrix is the exact solution of the z -> 0
+    # end; the ML estimate (g = 0) anchors the high end. A midpoint is
+    # solved from BOTH endpoints on half budgets and the lower-Lagrangian
+    # result wins: the two endpoint families (near-zero vs near-ML boundary
+    # solutions) are cheap to approach from opposite sides, and the contest
+    # picks the cheap side automatically.
+    warm_lo = (zero, np.zeros(min(zero.shape)), tau0, g_zero, grad_zero)
+    warm_hi = (lambda_hat.data, s_hat, tau0, 0.0, grad_hat)
     bracketed = False
     converged = False
     for _ in range(cfg.max_outer):
@@ -443,13 +442,14 @@ def fit_cmen(
             _cmen_inner(prob, nll_hat, warm, z, tau0, budget, cfg) for warm in starts
         ]
         # The lower Lagrangian nuc + z*(g - eps) wins, the first on ties.
-        state, _, _, ls_ok, nuc = min(trials, key=lambda t: t[4] + z * (t[0][2] - eps))
-        sol, gval = state[0], state[2]
+        state, _, _, ls_ok = min(trials, key=lambda t: t[0][1].sum() + z * (t[0][3] - eps))
+        sol, spectrum, _, gval, _ = state
+        nuc = float(spectrum.sum())
         steps = sum(t[1] for t in trials)
         report.probes += sum(t[2] for t in trials)
         report.objective_trace.append(nuc)
         report.constraint_trace.append(gval - eps)
-        report.rank_trace.append(numeric_rank(sol, RANK_TOL))
+        report.rank_trace.append(int((spectrum > RANK_TOL).sum()))
         report.z_trace.append(z)
         report.inner_iters.append(steps)
         if not ls_ok:
@@ -502,8 +502,9 @@ def fit_rmde(
     the penalized objective; stops when the iterate displacement (equal to
     the prox-stationarity residual, by non-expansiveness) is within
     obj_tol. Each iterate is evaluated once (the likelihood value comes
-    with the gradient of the step taken from it) and decomposed once (its
-    singular values give both the nuclear norm and the traced rank).
+    with the gradient of the step taken from it) and decomposed once (the
+    start here, the rest by the shrinkage that makes them); its singular
+    values give both the nuclear norm and the traced rank.
     Without init the start is fit_columns_relaxed's matrix, and its notes
     open the report's warnings.
     """
@@ -516,23 +517,22 @@ def fit_rmde(
     tau = lipschitz_tau(stats_list, eng.m)
     report = FitReport(solver="rmde", etas=[eta], warnings=notes)
 
-    def trace(nll, data):
-        s = singular_values(data)
+    def trace(nll, s):
         report.objective_trace.append(nll + eta * float(s.sum()))
         report.rank_trace.append(int((s > RANK_TOL).sum()))
 
-    data = init.data
+    data, s = init.data, singular_values(init.data)
     converged = False
     for steps in range(1, cfg.max_inner + 1):
         nll, grad = prob.nll_and_grad(data)
-        trace(nll, data)
-        cand = soft_threshold(data - grad / tau, eta / tau)
+        trace(nll, s)
+        cand, s = _prox(data, grad, tau, eta / tau)
         residual = float(np.linalg.norm(cand - data))
         data = cand
         if residual <= cfg.obj_tol:
             converged = True
             break
-    trace(prob.nll(data), data)
+    trace(prob.nll(data), s)
     report.inner_iters.append(steps)
     if not converged:
         report.converged = False

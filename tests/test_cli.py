@@ -2,6 +2,7 @@ import argparse
 import json
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def _stop_with(seen: dict, key):
     def stub(*args, **kwargs):
         seen[key] = (args, kwargs)
         raise _Stop
+    return stub
+
+
+def _record_then(seen: dict, key, run):
+    """A stub that records its arguments and returns run(*args, **kwargs),
+    so a command that writes --out only after its work still gets there."""
+    def stub(*args, **kwargs):
+        seen[key] = (args, kwargs)
+        return run(*args, **kwargs)
     return stub
 
 
@@ -180,10 +190,12 @@ class TestFitCommand:
         self, bag_file, tmp_path, monkeypatch, config, flags, expected
     ):
         # --a > config "a" > 1.0, and the resolved config records the value
-        # the solver received.
+        # the solver received. The fit itself runs as "mde" (no joint solve).
         path, _ = bag_file
         seen = {}
-        monkeypatch.setattr(cli, "fit_joint", _stop_with(seen, "fit_joint"))
+        fit_joint = cli.fit_joint
+        run_mde = lambda name, *args, **kwargs: fit_joint("mde", *args, **kwargs)
+        monkeypatch.setattr(cli, "fit_joint", _record_then(seen, "fit_joint", run_mde))
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
         out = tmp_path / "o"
@@ -430,9 +442,14 @@ def test_top_level_a_reaches_the_solver(
 ):
     # classify and phase-diagram take CMEN's confidence multiplier as the
     # top-level key "a" and the flag --a, spelled as fit spells them.
+    # classify writes --out after its work, so its stub predicts nothing.
     path, _ = bag_file
     seen = {}
-    monkeypatch.setattr(cli, target, _stop_with(seen, "args"))
+    if command == "classify":
+        stub = _record_then(seen, "args", lambda *args, **kwargs: [])
+    else:
+        stub = _stop_with(seen, "args")
+    monkeypatch.setattr(cli, target, stub)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(config))
     positionals = [str(path), str(path)] if command == "classify" else []
@@ -509,8 +526,15 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
     }
     seen = {}
     monkeypatch.setattr(cli, "_prepare_out", _stop_with(seen, "resolved"))
-    # bound-check resolves its output only after its trials; skip them
-    monkeypatch.setattr(cli, "markov_bound_trial", lambda *args, **kwargs: ({}, None))
+    # Every command but phase-diagram resolves its output only after its
+    # work; skip the work.
+    idle = SimpleNamespace(data=None, bag_ids=None)
+    for name, result in (
+        ("markov_bound_trial", ({}, None)), ("fit_joint", (idle, None)),
+        ("densities_from_columns", []), ("sym_kl_matrix", None), ("evaluate_split", []),
+        ("synth_bags_from_matrix", None), ("runtime_benchmark", []),
+    ):
+        monkeypatch.setattr(cli, name, lambda *args, result=result, **kwargs: result)
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -577,6 +601,31 @@ def test_bad_parameter_writes_nothing(
         command, *positionals.get(command, []), "--out", str(out), "--config", str(cfgfile),
         *flags,
     ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--t", "30", "--n-bags", "20"], "rank t must be in [1, 20], got 30"),
+        (["synth", "--n-per-bag", "0", "--m", "8"], "n must be >= 1"),
+        (["synth", "--mode", "two-class", "--n-bags", "1"], "n_bags must be even"),
+        (["classify", "{bags}", "{bags}", "--pca-dims", "5"], "r=5 exceeds dimension 2"),
+        (["bench", "--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["bench", "--repeats", "-1"], "repeats must be >= 1, got -1"),
+    ],
+    ids=["synth-t", "synth-n_per_bag", "synth-two-class-n_bags", "classify-pca_dims",
+         "bench-repeats-0", "bench-repeats-negative"],
+)
+def test_rejected_work_writes_nothing(bag_file, tmp_path, capsys, argv, message):
+    # A value rejected inside a command's work (a generator, the pipeline,
+    # the benchmark) leaves no --out: the output is written only after the
+    # work succeeds.
+    path, _ = bag_file
+    out = tmp_path / "o"
+    code = main([a.format(bags=path) for a in argv] + ["--out", str(out)])
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

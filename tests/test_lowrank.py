@@ -7,6 +7,7 @@ from maxentmil.lowrank import (
     nuclear_norm,
     numeric_rank,
     rank_ladder_svd,
+    shrink,
     soft_threshold,
     svd,
 )
@@ -116,6 +117,18 @@ class TestSoftThreshold:
             for a in (0.0, 0.2, 0.5, 1.0, 2.0)
         ]
         assert ranks == sorted(ranks, reverse=True)
+
+    def test_shrink_returns_the_spectrum_of_its_matrix(self, rng):
+        # shrink's matrix is soft_threshold's, bit for bit, and its spectrum
+        # is that matrix's singular values, descending, zeros included.
+        for alpha in (0.0, 0.5, 1.5):
+            x = rng.standard_normal((7, 5))
+            out, spectrum = shrink(x, alpha)
+            np.testing.assert_array_equal(out, soft_threshold(x, alpha))
+            assert spectrum.shape == (5,)
+            np.testing.assert_allclose(
+                spectrum, np.linalg.svd(out, compute_uv=False), rtol=0, atol=1e-12
+            )
 
 
 class TestNumericRank:

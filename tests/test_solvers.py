@@ -327,7 +327,7 @@ class TestLineSearch:
         curv = 2.0
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         tau_prev = 0.9 * curv / LS_ALPHA
-        tau, _, ok, _, _, probes = line_search(
+        tau, _, _, ok, _, _, probes = line_search(
             bar, 1.0, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
         )
         assert ok and probes == 2
@@ -338,7 +338,7 @@ class TestLineSearch:
         curv = 3.0
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         for start in (curv, 8.0):
-            tau, _, ok, _, _, probes = line_search(
+            tau, _, _, ok, _, _, probes = line_search(
                 bar, 1.0, start / LS_ALPHA, 100.0, g_and_grad, g_bar, grad_bar
             )
             assert ok and probes == 1 and tau == pytest.approx(start)
@@ -347,7 +347,7 @@ class TestLineSearch:
         curv = 2.0
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         for tau_prev in (1e-3, 0.5, 10.0):
-            tau, cand, ok, g_cand, _, _ = line_search(
+            tau, cand, _, ok, g_cand, _, _ = line_search(
                 bar, 0.5, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
             )
             diff = cand - bar
@@ -366,37 +366,41 @@ class TestLineSearch:
             return 0.0, np.zeros_like(y)
 
         for tau_prev, expected in ((1e-9, TAU_FLOOR * tau_lip), (1e9, tau_lip)):
-            tau, _, ok, _, _, probes = line_search(
+            tau, _, _, ok, _, _, probes = line_search(
                 bar, 1.0, tau_prev, tau_lip, flat, 0.0, np.zeros_like(bar)
             )
             assert ok and probes == 1 and tau == expected
 
     def test_returns_value_and_gradient_at_candidate(self, hat_and_stats, engine2d_mod, rng):
         # The accepted probe's g and gradient are those of the candidate,
-        # bit for bit, so the next step can use them as they are.
+        # bit for bit, so the next step can use them as they are; its
+        # returned spectrum is the candidate's singular values.
         hat, stats = hat_and_stats
         prob = solvers_mod._JointProblem(engine2d_mod, stats)
         bar = hat.data + 0.3 * rng.standard_normal(hat.data.shape)
         g_bar, grad_bar = prob.nll_and_grad(bar)
         tau_lip = lipschitz_tau(stats, 8)
         for tau_prev in (TAU_FLOOR * tau_lip, 0.1 * tau_lip):
-            _, cand, ok, g_cand, grad_cand, _ = line_search(
+            _, cand, s_cand, ok, g_cand, grad_cand, _ = line_search(
                 bar, 0.5, tau_prev, tau_lip, prob.nll_and_grad, g_bar, grad_bar
             )
             g_ref, grad_ref = prob.nll_and_grad(cand)
             assert ok
             assert g_cand == g_ref
             np.testing.assert_array_equal(grad_cand, grad_ref)
+            np.testing.assert_allclose(
+                s_cand, np.linalg.svd(cand, compute_uv=False), rtol=0, atol=1e-10
+            )
 
     def test_flag_false_only_when_tau_lip_fails(self, rng):
         curv = 5.0
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         # tau_lip below the curvature: every probe fails, the last at tau_lip.
-        tau, _, ok, _, _, _ = line_search(bar, 1.0, 1e-6, 4.0, g_and_grad, g_bar, grad_bar)
+        tau, _, _, ok, _, _, _ = line_search(bar, 1.0, 1e-6, 4.0, g_and_grad, g_bar, grad_bar)
         assert not ok and tau == 4.0
         # tau_lip at or above it: growth from the floor always ends accepted.
         for tau_lip in (curv, 50.0, 5e4):
-            tau, _, ok, _, _, _ = line_search(
+            tau, _, _, ok, _, _, _ = line_search(
                 bar, 1.0, 1e-6, tau_lip, g_and_grad, g_bar, grad_bar
             )
             assert ok and curv <= tau <= tau_lip
@@ -606,6 +610,40 @@ class TestFitRmde:
         _, stats = hat_and_stats
         with pytest.raises(ValueError):
             fit_rmde(stats, spec2d_mod, grid2d_mod, 0.0)
+
+
+@pytest.mark.parametrize("solver", ["cmen", "rmde"])
+def test_each_iterate_decomposed_once(
+    hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch, solver
+):
+    # The shrinkage that makes an iterate returns its spectrum, and the
+    # nuclear norms and ranks are read from it: beyond one SVD per proximal
+    # candidate, a solve decomposes only its anchor (CMEN) or start (RMDE).
+    hat, stats = hat_and_stats
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    if solver == "cmen":
+        _, report = fit_cmen(
+            stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
+        )
+        candidates = report.probes
+    else:
+        # At eta 20 the solve takes dozens of steps and its rank drops.
+        sol, report = fit_rmde(
+            stats, spec2d_mod, grid2d_mod, 20.0, newton=NEWTON, engine=engine2d_mod, init=hat
+        )
+        candidates = report.inner_iters[0]
+    assert candidates > 1
+    assert len(calls) == candidates + 1
+    if solver == "rmde":
+        # The rank read from the shrunk spectrum is the returned matrix's.
+        assert report.rank_trace[-1] == numeric_rank(sol.data, solvers_mod.RANK_TOL)
 
 
 class TestContinuation:
