@@ -9,7 +9,6 @@ from .basis import (
     Domain,
     IntegrationGrid,
     domain_from_data,
-    eval_basis,
     make_auto_grid,
     make_basis,
     make_mc_grid,
@@ -22,14 +21,9 @@ from .maxent import (
     NewtonConfig,
     SufficientStats,
     densities_from_columns,
-    density_moments,
     fit_sde,
     fit_sde_relaxed,
-    hoeffding_delta_bound,
     kl,
-    log_density,
-    log_density_with_flag,
-    log_partition,
     sde_grad_hess,
     sde_objective,
     suff_stats,
@@ -56,7 +50,6 @@ from .solvers import (
     fit_rmde,
     g_and_grad,
     lipschitz_tau,
-    prox_step,
     psi_basis,
     rmde_continuation,
     rmde_cross_validate,

@@ -55,10 +55,6 @@ class Domain:
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= self.lo).all() and (x <= self.hi).all())
-
 
 def check_feature_count(m: int) -> None:
     """The feature map pairs a sin with a cos per frequency row, so m must
@@ -148,36 +144,40 @@ class IntegrationGrid:
         return self.nodes.shape[0]
 
 
-def make_basis(d: int, m: int, seed: int) -> BasisSpec:
-    """Draw the m/2 frequency rows i.i.d. from N(0, I_d), deterministically."""
+def check_dimension(d: int) -> None:
+    """An instance has at least one coordinate."""
     if d < 1:
         raise ValueError(f"instance dimension d must be >= 1, got {d}")
+
+
+def make_basis(d: int, m: int, seed: int) -> BasisSpec:
+    """Draw the m/2 frequency rows i.i.d. from N(0, I_d), deterministically."""
+    check_dimension(d)
     check_feature_count(m)
     freqs = np.random.default_rng(seed).standard_normal((m // 2, d))
     return BasisSpec(d=d, m=m, seed=seed, freqs=freqs)
 
 
-def eval_basis(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate the feature map at a single point; every entry is in [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d,):
-        raise ValueError(f"expected a point of shape ({spec.d},), got {x.shape}")
-    return spec.evaluate(x[None, :])[0]
-
-
-def make_tensor_grid(
-    domain: Domain, points_per_axis: int, max_nodes: int = MAX_GRID_NODES
-) -> IntegrationGrid:
-    """Midpoint-rule tensor grid; every node carries weight volume / Q."""
+def check_tensor_grid(d: int, points_per_axis: int, max_nodes: int = MAX_GRID_NODES) -> int:
+    """The node count points_per_axis**d of a tensor grid, checked before
+    any node is built: at least 2 points per axis, at most max_nodes nodes."""
     if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
-    d = domain.d
+        raise ValueError(f"grid_points (points per axis) must be >= 2, got {points_per_axis}")
     q = points_per_axis**d
     if q > max_nodes:
         raise GridBudgetError(
             f"tensor grid needs {points_per_axis}^{d} = {q} nodes, "
             f"over the budget of {max_nodes}"
         )
+    return q
+
+
+def make_tensor_grid(
+    domain: Domain, points_per_axis: int, max_nodes: int = MAX_GRID_NODES
+) -> IntegrationGrid:
+    """Midpoint-rule tensor grid; every node carries weight volume / Q."""
+    d = domain.d
+    q = check_tensor_grid(d, points_per_axis, max_nodes)
     axes = [
         domain.lo[j] + (np.arange(points_per_axis) + 0.5) * (domain.hi[j] - domain.lo[j]) / points_per_axis
         for j in range(d)

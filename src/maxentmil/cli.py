@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -106,10 +107,20 @@ _VALUE_TYPES = {
 }
 
 
+def _check_value(key: str, value, context: str):
+    """The rule for flag and file values alike: a number must be finite and
+    a list non-empty."""
+    if isinstance(value, list) and not value:
+        raise ValueError(f"{context}: {key} must be a non-empty list")
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{context}: {key} must be finite, got {json.dumps(v)}")
+
+
 def _check_config(rec: dict, table: dict, context: str):
     """Reject a key not in table, a value whose JSON type does not fit its
     default's (a list default takes a list of values that fit its items),
-    and a string outside its allowed strings."""
+    a string outside its allowed strings, and a value _check_value rejects."""
     unknown = sorted(set(rec) - set(table))
     if unknown:
         raise ValueError(f"unknown config keys in {context}: {', '.join(unknown)}")
@@ -128,6 +139,7 @@ def _check_config(rec: dict, table: dict, context: str):
             raise ValueError(
                 f"{context}: {key} must be one of {', '.join(choices)}, got {json.dumps(value)}"
             )
+        _check_value(key, value, context)
 
 
 def _params(args) -> dict:
@@ -149,6 +161,8 @@ def _params(args) -> dict:
         k: v for k, v in vars(args).items()
         if k in table and v is not None and v != []
     }
+    for key, value in flags.items():
+        _check_value(key, value, args.command)
     return {**defaults, **config, **flags}
 
 
@@ -198,8 +212,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_kl_matrix(args) -> int:
-    if args.gamma is not None and args.gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if args.gamma is not None:
+        _check_value("gamma", args.gamma, "kl-matrix")
+        if args.gamma <= 0:
+            raise ValueError("gamma must be positive")
     spec, _domain, _grid, densities, _ns, _raw = load_model(args.model)
     matrix = sym_kl_matrix(densities)
     out = _prepare_out(

@@ -17,7 +17,15 @@ from itertools import islice
 
 import numpy as np
 
-from .basis import Domain, IntegrationGrid, check_feature_count, make_basis, make_tensor_grid
+from .basis import (
+    Domain,
+    IntegrationGrid,
+    check_dimension,
+    check_feature_count,
+    check_tensor_grid,
+    make_basis,
+    make_tensor_grid,
+)
 from .errors import DegenerateDensityError
 from .lowrank import numeric_rank
 from .maxent import (
@@ -172,7 +180,15 @@ class PhaseDiagramSpec:
             raise ValueError("n_per_bag must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        # The repetitions' box and grid (synth_box_grid), checked without
+        # building them.
+        check_dimension(self.d)
+        if not self.domain_halfwidth > 0:
+            raise ValueError(f"domain_halfwidth must be positive, got {self.domain_halfwidth}")
+        check_tensor_grid(self.d, self.grid_points)
         for t in self.t_values:
+            if t < 1:
+                raise ValueError(f"true rank {t} must be >= 1")
             if t > self.n_bags:
                 raise ValueError(f"true rank {t} must be <= bag count {self.n_bags}")
         for m in self.m_values:
@@ -281,11 +297,9 @@ def phase_cells(
             pool.shutdown(cancel_futures=True)
 
 
-def run_phase_diagram(
-    pd: PhaseDiagramSpec, skip_cells: set[tuple[int, int]] | None = None
-) -> list[PhaseCell]:
-    """Run every (m, t) cell; cells listed in skip_cells are omitted."""
-    return list(phase_cells(pd, skip_cells))
+def run_phase_diagram(pd: PhaseDiagramSpec) -> list[PhaseCell]:
+    """Run every (m, t) cell, m-major."""
+    return list(phase_cells(pd))
 
 
 def markov_bound_trial(

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .basis import BasisSpec, Domain, IntegrationGrid, eval_basis
+from .basis import BasisSpec, IntegrationGrid
 from .errors import ConvergenceError
 
 
@@ -205,26 +205,6 @@ def suff_stats(bag: np.ndarray, spec: BasisSpec, bag_id: str) -> SufficientStats
     return SufficientStats(bag_id=bag_id, n=bag.shape[0], phi_bar=features.mean(axis=0))
 
 
-def log_partition(lam, spec, grid, engine: BasisGrid | None = None) -> float:
-    """log of the normalizer: log sum_q w_q exp(lam . phi(x_q)).
-
-    Computed with a max shift so large parameter vectors do not overflow.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if not np.isfinite(lam).all():
-        raise ValueError("lam must be finite")
-    return as_engine(spec, grid, engine).log_partition(lam)
-
-
-def density_moments(lam, spec, grid, engine: BasisGrid | None = None):
-    """Feature mean and covariance under the density with parameter lam."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.isfinite(lam).all():
-        raise ValueError("lam must be finite")
-    _, mean, cov = as_engine(spec, grid, engine).moments(lam)
-    return mean, cov
-
-
 def sde_objective(lam, stats: SufficientStats, spec, grid, engine=None) -> float:
     """Scaled negative log-likelihood n * (logZ(lam) - lam . phi_bar)."""
     lam = np.asarray(lam, dtype=float)
@@ -363,23 +343,6 @@ def sym_kl(p: MEDensity, q: MEDensity) -> float:
     return float((p.lam - q.lam) @ (p.mean_phi - q.mean_phi))
 
 
-def log_density(p: MEDensity, spec, x: np.ndarray) -> float:
-    """Log density lam . phi(x) - logZ at a single point."""
-    return float(eval_basis(spec, np.asarray(x, dtype=float)) @ p.lam - p.logZ)
-
-
-def log_density_with_flag(
-    p: MEDensity, spec, x: np.ndarray, domain: Domain
-) -> tuple[float, bool]:
-    """Log density plus whether x lies inside the fitting domain.
-
-    Points outside the box still get the formula value; the flag lets
-    callers decide how much to trust it.
-    """
-    x = np.asarray(x, dtype=float)
-    return log_density(p, spec, x), domain.contains(x)
-
-
 def densities_from_columns(
     data: np.ndarray,
     bag_ids,
@@ -402,13 +365,3 @@ def densities_from_columns(
         )
         for i in range(data.shape[1])
     ]
-
-
-def hoeffding_delta_bound(n: int, m: int, eta: float) -> float:
-    """Deviation threshold sqrt(2 log(2m / eta)) / sqrt(n) for the gap
-    between empirical and model feature means, at confidence 1 - eta."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    if not 0 < eta < 1:
-        raise ValueError("eta must be in (0, 1)")
-    return float(np.sqrt(2.0 * np.log(2.0 * m / eta)) / np.sqrt(n))

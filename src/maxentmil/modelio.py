@@ -188,8 +188,19 @@ def model_to_dict(
 
 
 def load_model(path):
-    """Returns (spec, domain, grid, densities, ns, raw dict)."""
+    """Returns (spec, domain, grid, densities, ns, raw dict). A file of
+    another format_version, or one missing a key, is rejected by name."""
     rec = read_json(path)
+    version = rec.get("format_version") if isinstance(rec, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: format_version must be {FORMAT_VERSION}, got {version}")
+    try:
+        return _model_from_dict(rec)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file has no key {exc}") from exc
+
+
+def _model_from_dict(rec: dict):
     b = rec["basis"]
     spec = BasisSpec(
         d=b["d"],
@@ -235,15 +246,6 @@ def write_csv_table(path, columns, rows):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in columns) + "\n")
-
-
-def read_matrix_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ids = header[1:]
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    return np.asarray(rows), ids
 
 
 def write_predictions_jsonl(records, path):

@@ -256,20 +256,6 @@ def _prox(data, grad, tau, alpha) -> tuple[np.ndarray, np.ndarray]:
     return shrink(data - grad / tau, alpha)
 
 
-def prox_step(
-    Lambda0: LambdaMatrix, z: float, tau: float, grad: np.ndarray
-) -> LambdaMatrix:
-    """One proximal step: gradient move by 1/tau, then singular-value
-    shrinkage at 1/(tau*z)."""
-    if z <= 0 or tau <= 0:
-        raise ValueError("z and tau must be positive")
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != Lambda0.data.shape:
-        raise ValueError("gradient shape must match Lambda0")
-    data, _ = _prox(Lambda0.data, grad, tau, 1.0 / (tau * z))
-    return LambdaMatrix(data=data, bag_ids=Lambda0.bag_ids)
-
-
 def _majorized(g_cand, g_bar, diff, grad_bar, tau) -> bool:
     quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
         np.vdot(diff, diff)

@@ -6,7 +6,6 @@ from maxentmil.basis import (
     Domain,
     check_grid_resolution,
     domain_from_data,
-    eval_basis,
     make_basis,
     make_mc_grid,
     make_tensor_grid,
@@ -26,7 +25,7 @@ class TestMakeBasis:
         g1 = spec.freqs[0, 0]
         x = np.array([0.37])
         np.testing.assert_allclose(
-            eval_basis(spec, x), [np.sin(g1 * 0.37), np.cos(g1 * 0.37)]
+            spec.evaluate(x[None])[0], [np.sin(g1 * 0.37), np.cos(g1 * 0.37)]
         )
 
     def test_frequency_entries_are_standard_normal(self):
@@ -45,18 +44,18 @@ class TestMakeBasis:
 
 class TestEvalBasis:
     def test_at_origin(self, spec2d):
-        out = eval_basis(spec2d, np.zeros(2))
+        out = spec2d.evaluate(np.zeros((1, 2)))[0]
         np.testing.assert_array_equal(out[0::2], np.zeros(4))
         np.testing.assert_array_equal(out[1::2], np.ones(4))
 
     def test_bounded_by_one(self, spec2d, rng):
         for _ in range(50):
-            x = rng.uniform(-50, 50, size=2)
-            assert np.abs(eval_basis(spec2d, x)).max() <= 1.0
+            x = rng.uniform(-50, 50, size=(1, 2))
+            assert np.abs(spec2d.evaluate(x)).max() <= 1.0
 
     def test_known_projection(self):
         spec = BasisSpec(d=2, m=2, seed=0, freqs=np.array([[1.0, 0.0]]))
-        out = eval_basis(spec, np.array([np.pi / 2, 5.0]))
+        out = spec.evaluate(np.array([[np.pi / 2, 5.0]]))[0]
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
     def test_batch_equals_contiguous_sin_cos(self, spec2d, rng):
@@ -72,7 +71,7 @@ class TestEvalBasis:
 
     def test_dimension_mismatch(self, spec2d):
         with pytest.raises(ValueError):
-            eval_basis(spec2d, np.zeros(3))
+            spec2d.evaluate(np.zeros((1, 3)))
 
 
 class TestTensorGrid:

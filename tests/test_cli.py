@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ from maxentmil.mil import (
     PipelineConfig,
     evaluate_split,
 )
-from maxentmil.modelio import load_model, read_bags_jsonl, read_matrix_csv, write_bags_jsonl
+from maxentmil.modelio import load_model, read_bags_jsonl, write_bags_jsonl
 from maxentmil.solvers import CmenaConfig
 
 
@@ -26,6 +27,14 @@ def bag_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "bags.jsonl"
     write_bags_jsonl(ds, path)
     return path, ds
+
+
+@pytest.fixture(scope="module")
+def model_file(bag_file, tmp_path_factory):
+    path, _ = bag_file
+    run = tmp_path_factory.mktemp("fit")
+    assert main(["fit", str(path), "--out", str(run), "--solver", "mde", "--m", "8"]) == 0
+    return run / "model.json"
 
 
 class _Stop(Exception):
@@ -46,6 +55,13 @@ def _record_then(seen: dict, key, run):
         seen[key] = (args, kwargs)
         return run(*args, **kwargs)
     return stub
+
+
+def read_matrix(path):
+    """A kl-matrix CSV as (values, bag ids)."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return np.array([[float(v) for v in row[1:]] for row in rows]), header[1:]
 
 
 def strip_timing(rec):
@@ -249,7 +265,7 @@ class TestKlMatrixCommand:
         assert main(["fit", str(path), "--out", str(run), "--solver", "mde", "--m", "8"]) == 0
         out = tmp_path / "kl"
         assert main(["kl-matrix", str(run / "model.json"), "--out", str(out)]) == 0
-        mat, ids = read_matrix_csv(out / "kl_matrix.csv")
+        mat, ids = read_matrix(out / "kl_matrix.csv")
         assert len(ids) == 8
         np.testing.assert_allclose(np.diag(mat), 0.0)
         np.testing.assert_allclose(mat, mat.T, atol=1e-12)
@@ -263,8 +279,8 @@ class TestKlMatrixCommand:
         assert main([
             "kl-matrix", str(run / "model.json"), "--out", str(out), "--gamma", "0.5"
         ]) == 0
-        dist, _ = read_matrix_csv(out / "kl_matrix.csv")
-        kern, _ = read_matrix_csv(out / "kernel_matrix.csv")
+        dist, _ = read_matrix(out / "kl_matrix.csv")
+        kern, _ = read_matrix(out / "kernel_matrix.csv")
         np.testing.assert_allclose(kern, np.exp(-0.5 * dist), atol=1e-12)
         np.testing.assert_allclose(np.diag(kern), 1.0)
 
@@ -277,6 +293,25 @@ class TestKlMatrixCommand:
         code = main(["kl-matrix", str(run / "model.json"), "--out", str(out), "--gamma", "0"])
         assert code == 1
         assert "gamma must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"format_version": 99}, "format_version must be 1, got 99"),
+            ({"basis": None}, "model file has no key 'basis'"),
+        ],
+        ids=["format_version", "no-basis"],
+    )
+    def test_bad_model_file_writes_nothing(self, model_file, tmp_path, capsys, edit, message):
+        rec = json.loads(model_file.read_text())
+        rec.update(edit)
+        rec = {k: v for k, v in rec.items() if v is not None}
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(rec))
+        out = tmp_path / "kl"
+        assert main(["kl-matrix", str(bad), "--out", str(out)]) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -571,12 +606,19 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         ("phase-diagram", {"threads": 0}, "threads must be >= 1"),
         ("phase-diagram", ["--n-bags", "1", "--t-values", "2"], "true rank 2 must be <= bag count 1"),
         ("classify", ["--k", "20"], "k=20 exceeds the 8 training bags"),
+        ("phase-diagram", ["--grid-points", "1"], "grid_points (points per axis) must be >= 2, got 1"),
+        ("phase-diagram", ["--domain-halfwidth", "-1"], "domain_halfwidth must be positive, got -1.0"),
+        ("phase-diagram", ["--d", "0"], "instance dimension d must be >= 1, got 0"),
+        ("phase-diagram", ["--d", "4"], "tensor grid needs 64^4 = 16777216 nodes, over the budget"),
+        ("phase-diagram", ["--t-values", "0"], "true rank 0 must be >= 1"),
     ],
     ids=[
         "fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check",
         "fit-solver", "phase-diagram-solver", "bound-check-a", "bound-check-a-flag",
         "phase-diagram-n_per_bag-flag", "phase-diagram-threads", "phase-diagram-t-flag",
-        "classify-k-flag",
+        "classify-k-flag", "phase-diagram-grid_points-flag",
+        "phase-diagram-domain_halfwidth-flag", "phase-diagram-d-flag",
+        "phase-diagram-grid-budget-flag", "phase-diagram-t-zero-flag",
     ],
 )
 def test_bad_parameter_writes_nothing(
@@ -607,27 +649,49 @@ def test_bad_parameter_writes_nothing(
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, config, message",
+    # config is the contents of the file {cfg}, or None for no file
     [
-        (["synth", "--t", "30", "--n-bags", "20"], "rank t must be in [1, 20], got 30"),
-        (["synth", "--n-per-bag", "0", "--m", "8"], "n must be >= 1"),
-        (["synth", "--mode", "two-class", "--n-bags", "1"], "n_bags must be even"),
-        (["classify", "{bags}", "{bags}", "--pca-dims", "5"], "r=5 exceeds dimension 2"),
-        (["bench", "--repeats", "0"], "repeats must be >= 1, got 0"),
-        (["bench", "--repeats", "-1"], "repeats must be >= 1, got -1"),
+        (["synth", "--t", "30", "--n-bags", "20"], None, "rank t must be in [1, 20], got 30"),
+        (["synth", "--n-per-bag", "0", "--m", "8"], None, "n must be >= 1"),
+        (["synth", "--mode", "two-class", "--n-bags", "1"], None, "n_bags must be even"),
+        (["classify", "{bags}", "{bags}", "--pca-dims", "5"], None, "r=5 exceeds dimension 2"),
+        (["bench", "--repeats", "0"], None, "repeats must be >= 1, got 0"),
+        (["bench", "--repeats", "-1"], None, "repeats must be >= 1, got -1"),
+        (["fit", "{bags}", "--a", "nan"], None, "fit: a must be finite, got NaN"),
+        (["fit", "{bags}", "--config", "{cfg}"], {"a": float("nan")},
+         "{cfg} (fit): a must be finite, got NaN"),
+        (["fit", "{bags}", "--config", "{cfg}"], {"newton": {"grad_tol": float("inf")}},
+         "{cfg} (newton): grad_tol must be finite, got Infinity"),
+        (["bound-check", "--a-values", "nan,2"], None, "bound-check: a_values must be finite, got NaN"),
+        (["phase-diagram", "--config", "{cfg}"], {"m_values": [], "t_values": [2]},
+         "{cfg} (phase-diagram): m_values must be a non-empty list"),
+        (["bound-check", "--config", "{cfg}"], {"a_values": []},
+         "{cfg} (bound-check): a_values must be a non-empty list"),
+        (["kl-matrix", "{model}", "--gamma", "nan"], None, "kl-matrix: gamma must be finite, got NaN"),
     ],
     ids=["synth-t", "synth-n_per_bag", "synth-two-class-n_bags", "classify-pca_dims",
-         "bench-repeats-0", "bench-repeats-negative"],
+         "bench-repeats-0", "bench-repeats-negative", "fit-a-nan-flag", "fit-a-nan-file",
+         "fit-grad_tol-inf-file", "bound-check-a_values-nan-flag",
+         "phase-diagram-m_values-empty-file", "bound-check-a_values-empty-file",
+         "kl-matrix-gamma-nan-flag"],
 )
-def test_rejected_work_writes_nothing(bag_file, tmp_path, capsys, argv, message):
+def test_rejected_work_writes_nothing(
+    bag_file, model_file, tmp_path, capsys, argv, config, message
+):
     # A value rejected inside a command's work (a generator, the pipeline,
-    # the benchmark) leaves no --out: the output is written only after the
-    # work succeeds.
+    # the benchmark), or by the one rule that every number be finite and
+    # every list setting non-empty, leaves no --out: the output is written
+    # only after the work succeeds.
     path, _ = bag_file
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    names = {"bags": path, "cfg": cfg, "model": model_file}
     out = tmp_path / "o"
-    code = main([a.format(bags=path) for a in argv] + ["--out", str(out)])
+    code = main([a.format(**names) for a in argv] + ["--out", str(out)])
     assert code == 1
-    assert message in capsys.readouterr().err
+    assert message.format(**names) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,13 +3,14 @@ import pytest
 
 from maxentmil.errors import DegenerateDensityError
 from maxentmil.lowrank import numeric_rank
-from maxentmil.maxent import BasisGrid, MEDensity, hoeffding_delta_bound
+from maxentmil.maxent import BasisGrid, MEDensity
 from maxentmil.basis import make_basis
 from maxentmil.experiments import (
     PhaseDiagramSpec,
     densities_from_matrix,
     derive_seed,
     markov_bound_trial,
+    phase_cells,
     recovery_threshold,
     rejection_sample,
     run_phase_diagram,
@@ -75,7 +76,9 @@ class TestRejectionSample:
         )[0]
         samples, _ = rejection_sample(dens, spec2d, grid2d, 100_000, seed=0)
         err = np.linalg.norm(spec2d.evaluate(samples).mean(axis=0) - dens.mean_phi)
-        assert err <= hoeffding_delta_bound(100_000, 8, 0.05)
+        # Hoeffding's deviation bound sqrt(2 log(2m / eta)) / sqrt(n) at
+        # m = 8, eta = 0.05, n = 100 000.
+        assert err <= np.sqrt(2.0 * np.log(2.0 * 8 / 0.05)) / np.sqrt(100_000)
 
     def test_bit_identical_reruns(self, spec2d, grid2d, engine2d):
         dens = densities_from_matrix(
@@ -206,7 +209,7 @@ class TestPhaseDiagram:
 
     def test_skip_cells(self, tiny_grid):
         pd, cells = tiny_grid
-        partial = run_phase_diagram(pd, skip_cells={(8, 2)})
+        partial = list(phase_cells(pd, skip_cells={(8, 2)}))
         assert [(c.m, c.t) for c in partial] == [(8, 3), (10, 2), (10, 3)]
 
     def test_spec_validation(self):

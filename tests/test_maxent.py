@@ -9,14 +9,9 @@ from maxentmil.maxent import (
     MEDensity,
     NewtonConfig,
     SufficientStats,
-    density_moments,
     fit_sde,
     fit_sde_relaxed,
-    hoeffding_delta_bound,
     kl,
-    log_density,
-    log_density_with_flag,
-    log_partition,
     sde_grad_hess,
     sde_objective,
     suff_stats,
@@ -72,13 +67,13 @@ class TestSuffStats:
 
 
 class TestLogPartition:
-    def test_uniform(self, spec2d, grid2d):
-        assert log_partition(np.zeros(8), spec2d, grid2d) == pytest.approx(LOG_VOL)
+    def test_uniform(self, engine2d):
+        assert engine2d.log_partition(np.zeros(8)) == pytest.approx(LOG_VOL)
 
-    def test_logsumexp_lower_bound(self, spec2d, grid2d, engine2d, rng):
+    def test_logsumexp_lower_bound(self, engine2d, rng):
         lam = rng.uniform(-2, 2, 8)
         scores = engine2d.phi @ lam + engine2d.logw
-        assert log_partition(lam, spec2d, grid2d) >= scores.max()
+        assert engine2d.log_partition(lam) >= scores.max()
 
     def test_against_high_resolution_reference(self):
         # 1-d pair with unit frequency; 4096-node reference quadrature.
@@ -87,45 +82,38 @@ class TestLogPartition:
         spec = BasisSpec(d=1, m=2, seed=0, freqs=np.array([[1.0]]))
         dom = Domain(lo=[-3.0], hi=[3.0])
         lam = np.array([0.5, 0.0])
-        coarse = log_partition(lam, spec, make_tensor_grid(dom, 64))
-        ref = log_partition(lam, spec, make_tensor_grid(dom, 4096))
+        coarse = BasisGrid(spec, make_tensor_grid(dom, 64)).log_partition(lam)
+        ref = BasisGrid(spec, make_tensor_grid(dom, 4096)).log_partition(lam)
         assert coarse == pytest.approx(ref, abs=1e-3)
 
-    def test_no_overflow_for_large_lambda(self, spec2d, grid2d):
+    def test_no_overflow_for_large_lambda(self, engine2d):
         lam = np.full(8, 125.0)  # l1 norm 1000
-        assert np.isfinite(log_partition(lam, spec2d, grid2d))
-
-    def test_nonfinite_rejected(self, spec2d, grid2d):
-        with pytest.raises(ValueError):
-            log_partition(np.array([np.nan] + [0.0] * 7), spec2d, grid2d)
+        assert np.isfinite(engine2d.log_partition(lam))
 
 
 class TestDensityMoments:
-    def test_sin_means_vanish_for_uniform(self, spec2d, grid2d):
-        mean, _ = density_moments(np.zeros(8), spec2d, grid2d)
+    def test_sin_means_vanish_for_uniform(self, engine2d):
+        _, mean, _ = engine2d.moments(np.zeros(8))
         assert np.abs(mean[0::2]).max() < 1e-12
 
-    def test_variance_bounded_by_one(self, spec2d, grid2d, rng):
+    def test_variance_bounded_by_one(self, engine2d, rng):
         lam = rng.uniform(-1, 1, 8)
-        _, cov = density_moments(lam, spec2d, grid2d)
+        _, _, cov = engine2d.moments(lam)
         assert np.diag(cov).max() <= 1.0
 
-    def test_cov_psd(self, spec2d, grid2d, rng):
+    def test_cov_psd(self, engine2d, rng):
         lam = rng.uniform(-1, 1, 8)
-        _, cov = density_moments(lam, spec2d, grid2d)
+        _, _, cov = engine2d.moments(lam)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
-    def test_mean_is_gradient_of_log_partition(self, spec2d, grid2d, rng):
+    def test_mean_is_gradient_of_log_partition(self, engine2d, rng):
         lam = rng.uniform(-0.5, 0.5, 8)
-        mean, _ = density_moments(lam, spec2d, grid2d)
+        _, mean, _ = engine2d.moments(lam)
         step = 1e-5
         for j in range(8):
             e = np.zeros(8)
             e[j] = step
-            fd = (
-                log_partition(lam + e, spec2d, grid2d)
-                - log_partition(lam - e, spec2d, grid2d)
-            ) / (2 * step)
+            fd = (engine2d.log_partition(lam + e) - engine2d.log_partition(lam - e)) / (2 * step)
             assert fd == pytest.approx(mean[j], abs=1e-5)
 
 
@@ -237,15 +225,15 @@ class TestSdeObjectiveAndDerivatives:
             np.zeros(8), st, spec2d, grid2d
         )
 
-    def test_objective_difference_identity(self, spec2d, grid2d, rng):
+    def test_objective_difference_identity(self, spec2d, grid2d, engine2d, rng):
         st = SufficientStats(bag_id="b", n=11, phi_bar=rng.uniform(-0.3, 0.3, 8))
         l1, l2 = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
         lhs = sde_objective(l1, st, spec2d, grid2d) - sde_objective(
             l2, st, spec2d, grid2d
         )
         rhs = 11 * (
-            log_partition(l1, spec2d, grid2d)
-            - log_partition(l2, spec2d, grid2d)
+            engine2d.log_partition(l1)
+            - engine2d.log_partition(l2)
             - (l1 - l2) @ st.phi_bar
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -429,17 +417,12 @@ class TestKl:
 
 
 class TestLogDensity:
+    """The log density lam . phi(x) - logZ of a fitted density."""
+
     def test_uniform_everywhere(self, spec2d, engine2d):
         p = make_density(np.zeros(8), engine2d, spec2d)
-        for x in ([0.0, 0.0], [1.0, -2.0]):
-            assert log_density(p, spec2d, np.array(x)) == pytest.approx(-LOG_VOL)
-
-    def test_out_of_domain_flagged(self, spec2d, engine2d, box2d):
-        p = make_density(np.zeros(8), engine2d, spec2d)
-        val, inside = log_density_with_flag(p, spec2d, np.array([10.0, 0.0]), box2d)
-        assert np.isfinite(val) and not inside
-        _, inside = log_density_with_flag(p, spec2d, np.array([0.5, 0.5]), box2d)
-        assert inside
+        x = np.array([[0.0, 0.0], [1.0, -2.0]])
+        np.testing.assert_allclose(spec2d.evaluate(x) @ p.lam - p.logZ, -LOG_VOL)
 
     def test_gaussian_closed_form(self):
         # Feature map [x, x^2] with weights (0, -1/2) is the standard
@@ -455,44 +438,21 @@ class TestLogDensity:
             np.sqrt(np.pi / -lam[1])
         )
         assert logz == pytest.approx(closed_logz, abs=1e-6)
-        p = MEDensity(
-            bag_id="gauss", lam=lam, logZ=logz, mean_phi=mean, basis_key=poly.key
-        )
-        val = np.exp(log_density(p, poly, np.array([0.0])))
+        val = np.exp(poly.evaluate(np.zeros((1, 1)))[0] @ lam - logz)
         assert val == pytest.approx(0.3989422804014327, abs=1e-3)
 
 
 class TestHoeffdingBound:
-    def test_reference_value(self):
-        # sqrt(2 log(2*10/0.05)) / sqrt(100), evaluated independently.
-        assert hoeffding_delta_bound(100, 10, 0.05) == pytest.approx(
-            0.3461636765204571, abs=1e-12
-        )
-
-    def test_quadrupling_n_halves(self):
-        assert hoeffding_delta_bound(400, 10, 0.05) == pytest.approx(
-            hoeffding_delta_bound(100, 10, 0.05) / 2
-        )
-
-    def test_monotone_in_m(self):
-        vals = [hoeffding_delta_bound(100, m, 0.05) for m in (2, 5, 10, 50)]
-        assert vals == sorted(vals)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_delta_bound(0, 10, 0.05)
-        with pytest.raises(ValueError):
-            hoeffding_delta_bound(10, 10, 1.5)
-
     def test_empirical_coverage(self, spec2d, grid2d, engine2d):
-        # 500 resamples from one fixed density; the 95% bound should fail
-        # at most ~5% of the time (3% slack).
+        # 500 resamples from one fixed density; the 95% deviation bound
+        # sqrt(2 log(2m / eta)) / sqrt(n) should fail at most ~5% of the time
+        # (3% slack).
         from maxentmil.experiments import rejection_sample
 
         lam = np.array([0.4, -0.2, 0.1, 0.3, -0.4, 0.2, 0.0, -0.1])
         dens = make_density(lam, engine2d, spec2d)
         n = 400
-        bound = hoeffding_delta_bound(n, 8, 0.05)
+        bound = np.sqrt(2.0 * np.log(2.0 * 8 / 0.05)) / np.sqrt(n)
         exceed = 0
         for trial in range(500):
             samples, _ = rejection_sample(dens, spec2d, grid2d, n, seed=9000 + trial)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from maxentmil.modelio import (
     read_bags,
     read_bags_csv,
     read_bags_jsonl,
-    read_matrix_csv,
     write_bags_jsonl,
     write_json,
     write_matrix_csv,
@@ -141,6 +142,31 @@ class TestModelFile:
         write_json(p2, model_to_dict(spec2, domain2, grid2, densities2, ns2, "mde"))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: rec.update(format_version=99), "format_version must be 1, got 99"),
+            (lambda rec: rec.pop("format_version"), "format_version must be 1, got None"),
+            (lambda rec: rec.pop("basis"), "model file has no key 'basis'"),
+            (lambda rec: rec["bags"][0].pop("lambda"), "model file has no key 'lambda'"),
+        ],
+        ids=["format_version-99", "no-format_version", "no-basis", "no-bag-lambda"],
+    )
+    def test_bad_model_file_named(self, dataset, tmp_path, edit, message):
+        spec = make_basis(2, 4, seed=1)
+        domain = domain_from_data(dataset.pooled_instances(), 0.1)
+        grid = make_tensor_grid(domain, 16)
+        densities = densities_from_columns(
+            np.zeros((4, 1)), ["solo"], spec, grid, BasisGrid(spec, grid)
+        )
+        rec = model_to_dict(spec, domain, grid, densities, [5], "mde")
+        edit(rec)
+        path = tmp_path / "model.json"
+        write_json(path, rec)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 def test_matrix_csv_roundtrip(tmp_path, rng):
     mat = rng.standard_normal((3, 3))
@@ -148,6 +174,8 @@ def test_matrix_csv_roundtrip(tmp_path, rng):
     np.fill_diagonal(mat, 0.0)
     path = tmp_path / "matrix.csv"
     write_matrix_csv(mat, ["x", "y", "z"], path)
-    back, ids = read_matrix_csv(path)
-    assert ids == ["x", "y", "z"]
-    np.testing.assert_array_equal(back, mat)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["bag_id", "x", "y", "z"]
+    assert [row[0] for row in rows] == ["x", "y", "z"]
+    np.testing.assert_array_equal([[float(v) for v in row[1:]] for row in rows], mat)

@@ -34,7 +34,6 @@ from maxentmil.solvers import (
     g_and_grad,
     line_search,
     lipschitz_tau,
-    prox_step,
     psi_basis,
     rmde_continuation,
     rmde_cross_validate,
@@ -283,28 +282,26 @@ class TestBounds:
 
 
 class TestProxStep:
+    """solvers._prox, both solvers' step: a gradient move by 1/tau, then
+    singular-value shrinkage at 1/(tau*z)."""
+
     def test_zero_gradient_huge_z_is_identity(self, hat_and_stats):
         hat, _ = hat_and_stats
-        out = prox_step(hat, z=1e12, tau=100.0, grad=np.zeros(hat.data.shape))
-        np.testing.assert_allclose(out.data, hat.data, atol=1e-8)
+        out, _ = solvers_mod._prox(hat.data, np.zeros(hat.data.shape), 100.0, 1.0 / (100.0 * 1e12))
+        np.testing.assert_allclose(out, hat.data, atol=1e-8)
 
     def test_zero_gradient_tiny_z_zeroes(self, hat_and_stats):
         hat, _ = hat_and_stats
-        out = prox_step(hat, z=1e-12, tau=1.0, grad=np.zeros(hat.data.shape))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+        out, _ = solvers_mod._prox(hat.data, np.zeros(hat.data.shape), 1.0, 1.0 / 1e-12)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_composition_of_cited_formulas(self, hat_and_stats, rng):
         hat, _ = hat_and_stats
         grad = rng.standard_normal(hat.data.shape)
         z, tau = 0.7, 3.0
-        out = prox_step(hat, z, tau, grad)
+        out, _ = solvers_mod._prox(hat.data, grad, tau, 1.0 / (tau * z))
         expected = soft_threshold(hat.data - grad / tau, 1.0 / (tau * z))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_validation(self, hat_and_stats):
-        hat, _ = hat_and_stats
-        with pytest.raises(ValueError):
-            prox_step(hat, z=0.0, tau=1.0, grad=np.zeros(hat.data.shape))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestLineSearch:
