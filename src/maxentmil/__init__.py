@@ -11,6 +11,7 @@ from .basis import (
     domain_from_data,
     make_auto_grid,
     make_basis,
+    make_gauss_grid,
     make_mc_grid,
     make_tensor_grid,
 )

@@ -10,6 +10,7 @@ by 1, which the density solvers rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,7 +19,20 @@ from .errors import GridBudgetError
 # Hard cap on integration-grid nodes; a 64^3 tensor grid fits comfortably.
 MAX_GRID_NODES = 4_000_000
 
+# Points per axis of the tensor grid every command and harness builds by
+# default (make_auto_grid, experiments.synth_box_grid).
+DEFAULT_GRID_POINTS = 32
+
+# Computing the n-point Gauss-Legendre rule costs O(n^2) (_legendre_rule),
+# so it is capped; the node budget caps it lower from 2 dimensions on.
+MAX_GAUSS_POINTS = 2048
+
+# Rejection sampling's envelope over a Gauss-Legendre grid is taken on the
+# midpoint lattice with this many points per axis (IntegrationGrid.envelope_nodes).
+ENVELOPE_POINTS = 64
+
 TENSOR_GRID = "tensor-grid"
+GAUSS_LEGENDRE = "gauss-legendre"
 MONTE_CARLO = "monte-carlo"
 
 
@@ -116,7 +130,8 @@ class IntegrationGrid:
     """Quadrature nodes and positive weights over a Domain.
 
     Weights sum to the domain volume, so integrating the constant 1 is exact.
-    kind is "tensor-grid" (midpoint rule) or "monte-carlo" (uniform nodes).
+    kind is "gauss-legendre" (tensor Gauss-Legendre rule), "tensor-grid"
+    (midpoint rule) or "monte-carlo" (uniform nodes).
     The construction parameters are kept so a grid round-trips through the
     model-file format.
     """
@@ -142,6 +157,17 @@ class IntegrationGrid:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    @cached_property
+    def envelope_nodes(self) -> np.ndarray:
+        """The nodes rejection sampling takes its envelope over, built once
+        per grid: the grid's own nodes, except for a Gauss-Legendre grid.
+        Its few nodes crowd the box edges, so its envelope is taken on the
+        ENVELOPE_POINTS-per-axis midpoint lattice of its domain, and the
+        samples are those drawn with a midpoint grid of that size."""
+        if self.kind != GAUSS_LEGENDRE:
+            return self.nodes
+        return make_tensor_grid(self.domain, ENVELOPE_POINTS).nodes
 
 
 def check_dimension(d: int) -> None:
@@ -172,6 +198,23 @@ def check_tensor_grid(d: int, points_per_axis: int, max_nodes: int = MAX_GRID_NO
     return q
 
 
+def check_gauss_grid(d: int, points_per_axis: int) -> None:
+    """check_tensor_grid for a Gauss-Legendre grid, which also has at most
+    MAX_GAUSS_POINTS points per axis."""
+    check_tensor_grid(d, points_per_axis)
+    if points_per_axis > MAX_GAUSS_POINTS:
+        raise GridBudgetError(
+            f"a Gauss-Legendre grid has at most {MAX_GAUSS_POINTS} points per axis, "
+            f"got {points_per_axis}"
+        )
+
+
+def _mesh(axes: list[np.ndarray]) -> np.ndarray:
+    """(Q, d) tensor product of per-axis values, the last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def make_tensor_grid(
     domain: Domain, points_per_axis: int, max_nodes: int = MAX_GRID_NODES
 ) -> IntegrationGrid:
@@ -182,14 +225,64 @@ def make_tensor_grid(
         domain.lo[j] + (np.arange(points_per_axis) + 0.5) * (domain.hi[j] - domain.lo[j]) / points_per_axis
         for j in range(d)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
     weights = np.full(q, domain.volume / q)
     return IntegrationGrid(
         domain=domain,
         kind=TENSOR_GRID,
-        nodes=nodes,
+        nodes=_mesh(axes),
         weights=weights,
+        points_per_axis=points_per_axis,
+    )
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x), by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / ((x - 1) * (x + 1))
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1],
+    read-only; computed once per n, since a phase sweep builds a grid per
+    repetition.
+
+    The nodes are the roots of P_n, found by Newton's method from the
+    asymptotic guesses cos(pi (k + 3/4) / (n + 1/2)). numpy's leggauss
+    solves an n x n eigenproblem instead: it gives the same rule to
+    rounding, but the LAPACK eigensolver it loads adds about 1 MB to the
+    peak memory of a process that uses no other, and at n = 2048 it is
+    nine times slower.
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-14:
+            break
+    _, dp = _legendre(n, x)
+    w = 2 / ((1 - x) * (1 + x) * dp * dp)
+    return _readonly(x[::-1]), _readonly(w[::-1])
+
+
+def make_gauss_grid(domain: Domain, points_per_axis: int) -> IntegrationGrid:
+    """Gauss-Legendre tensor grid: the n-point rule mapped to each axis,
+    the weights multiplied. It integrates every polynomial of degree at
+    most 2n - 1 in each coordinate exactly, and converges spectrally on the
+    smooth densities of the trigonometric basis, so it needs far fewer
+    nodes than the midpoint rule for the same accuracy."""
+    check_gauss_grid(domain.d, points_per_axis)
+    x, w = _legendre_rule(points_per_axis)
+    half = (domain.hi - domain.lo) / 2
+    mid = (domain.hi + domain.lo) / 2
+    return IntegrationGrid(
+        domain=domain,
+        kind=GAUSS_LEGENDRE,
+        nodes=_mesh([mid[j] + half[j] * x for j in range(domain.d)]),
+        weights=_mesh([half[j] * w for j in range(domain.d)]).prod(axis=1),
         points_per_axis=points_per_axis,
     )
 
@@ -197,23 +290,32 @@ def make_tensor_grid(
 def check_grid_resolution(spec: BasisSpec, grid: IntegrationGrid) -> None:
     """Reject a tensor grid too coarse for the basis.
 
-    A midpoint grid with step h_j on axis j cannot resolve sin(g.x) once
-    |g_kj| * h_j >= pi for some frequency row g_k: its quadrature then
-    aliases the feature and the density fits fail far from the cause.
-    Monte Carlo grids have no step and are not checked.
+    A grid whose widest node gap on axis j is h_j cannot resolve sin(g.x)
+    once |g_kj| * h_j >= pi for some frequency row g_k: its quadrature then
+    aliases the feature and the density fits fail far from the cause. The
+    midpoint rule's gap is W_j / n on an axis W_j wide; the n-point
+    Gauss-Legendre rule's widest gap, at the middle of the axis, is about
+    pi * W_j / (2n), so there the rule is |g_kj| * W_j < 2n. Monte Carlo
+    grids have no step and are not checked.
     """
-    if grid.kind != TENSOR_GRID:
+    if grid.kind == MONTE_CARLO:
         return
     ppa = grid.points_per_axis
     widths = grid.domain.hi - grid.domain.lo
     gmax = np.abs(spec.freqs).max(axis=0)
-    coarse = np.flatnonzero(gmax * widths / ppa >= np.pi)
+    if grid.kind == GAUSS_LEGENDRE:
+        name, limit = "Gauss-Legendre", 2 * ppa
+        rule = f"times the axis width must stay below 2 x {ppa} = {limit}"
+    else:
+        name, limit = "tensor", np.pi * ppa
+        rule = "times the grid step must stay below pi"
+    coarse = np.flatnonzero(gmax * widths >= limit)
     if coarse.size:
         j = coarse[0]
         raise ValueError(
-            f"the {ppa}-point tensor grid is too coarse for the basis: axis {j} is "
-            f"{widths[j]:.4g} wide, over its limit of {np.pi * ppa / gmax[j]:.4g} "
-            f"(largest |frequency| {gmax[j]:.4g} times the grid step must stay below pi)"
+            f"the {ppa}-point {name} grid is too coarse for the basis: axis {j} is "
+            f"{widths[j]:.4g} wide, over its limit of {limit / gmax[j]:.4g} "
+            f"(largest |frequency| {gmax[j]:.4g} {rule})"
         )
 
 
@@ -254,11 +356,11 @@ def domain_from_data(instances: np.ndarray, margin: float) -> Domain:
 
 def make_auto_grid(
     domain: Domain,
-    points_per_axis: int = 64,
+    points_per_axis: int = DEFAULT_GRID_POINTS,
     mc_nodes: int = 20_000,
     mc_seed: int = 0,
 ) -> IntegrationGrid:
-    """Tensor grid up to 3 dimensions, Monte Carlo above that."""
+    """Gauss-Legendre tensor grid up to 3 dimensions, Monte Carlo above that."""
     if domain.d <= 3:
-        return make_tensor_grid(domain, points_per_axis)
+        return make_gauss_grid(domain, points_per_axis)
     return make_mc_grid(domain, mc_nodes, mc_seed)

@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import check_grid_resolution, domain_from_data, make_auto_grid, make_basis
+from .basis import (
+    DEFAULT_GRID_POINTS,
+    check_grid_resolution,
+    domain_from_data,
+    make_auto_grid,
+    make_basis,
+)
 from .maxent import BasisGrid, NewtonConfig, densities_from_columns, suff_stats
 from .mil import DISTANCES, CitationKnnConfig, PipelineConfig, evaluate_split, sym_kl_matrix
 from .modelio import (
@@ -61,27 +67,28 @@ SETTINGS = {
     "fit": {
         "seed": 0, "m": 20, "solver": ("cmen", JOINT_SOLVERS), "eta": 1.0,
         "etas": list(DEFAULT_CV_ETAS), "a": CmenaConfig.a, "margin": 0.1,
-        "grid_points": 64, "mc_nodes": 20_000, "cv_split_seed": 0, "newton": {},
+        "grid_points": DEFAULT_GRID_POINTS, "mc_nodes": 20_000, "cv_split_seed": 0,
+        "newton": {},
     },
     "phase-diagram": {
         "seed": 0, "n_bags": 20, "m_values": [20, 30, 40], "t_values": [2, 5, 10],
         "n_per_bag": 1000, "reps": 10, "solver": ("cmen", (*PHASE_SOLVERS, "both")),
         "threads": os.cpu_count() or 1, "d": 2, "domain_halfwidth": 3.0,
-        "grid_points": 64, "a": CmenaConfig.a, "newton": {},
+        "grid_points": DEFAULT_GRID_POINTS, "a": CmenaConfig.a, "newton": {},
     },
     "classify": {
         "seed": 0, "distance": ("kl-cmen", DISTANCES), "m": 16, "pca_dims": None,
-        "k": 5, "k_prime": 5, "margin": 0.1, "grid_points": 64, "mc_nodes": 20_000,
-        "a": CmenaConfig.a, "newton": {},
+        "k": 5, "k_prime": 5, "margin": 0.1, "grid_points": DEFAULT_GRID_POINTS,
+        "mc_nodes": 20_000, "a": CmenaConfig.a, "newton": {},
     },
     "bound-check": {
         "seed": 0, "n_bags": 5, "m": 10, "n_per_bag": 200, "trials": 200,
-        "a_values": [2.0, 5.0], "grid_points": 64,
+        "a_values": [2.0, 5.0], "grid_points": DEFAULT_GRID_POINTS,
     },
     "synth": {
         "seed": 0, "mode": ("lowrank", ("lowrank", "two-class")), "m": 20, "n_bags": 20,
         "t": 2, "n_per_bag": 1000, "d": 2, "separation": 1.5, "within": 0.2,
-        "grid_points": 64,
+        "grid_points": DEFAULT_GRID_POINTS,
     },
     "bench": {
         "seed": 0, "n_linear": [20_000, 40_000], "n_quadratic": [600, 1_200],

@@ -18,12 +18,14 @@ from itertools import islice
 import numpy as np
 
 from .basis import (
+    DEFAULT_GRID_POINTS,
     Domain,
     IntegrationGrid,
     check_dimension,
     check_feature_count,
-    check_tensor_grid,
+    check_gauss_grid,
     make_basis,
+    make_gauss_grid,
     make_tensor_grid,
 )
 from .errors import DegenerateDensityError
@@ -57,11 +59,13 @@ def derive_seed(*parts) -> int:
 
 
 def synth_box_grid(
-    halfwidth: float = 3.0, d: int = 2, points_per_axis: int = 64
+    halfwidth: float = 3.0, d: int = 2, points_per_axis: int = DEFAULT_GRID_POINTS
 ) -> IntegrationGrid:
     """The fixed synthetic-experiment domain: a centered box with a
-    midpoint tensor grid."""
+    Gauss-Legendre tensor grid up to 3 dimensions, a midpoint one above."""
     domain = Domain(lo=np.full(d, -halfwidth), hi=np.full(d, halfwidth))
+    if d <= 3:
+        return make_gauss_grid(domain, points_per_axis)
     return make_tensor_grid(domain, points_per_axis)
 
 
@@ -93,25 +97,38 @@ def densities_from_matrix(
     return densities_from_columns(matrix.data, matrix.bag_ids, spec, grid, engine)
 
 
+def envelope_features(
+    spec, grid: IntegrationGrid, engine: BasisGrid | None = None
+) -> np.ndarray:
+    """Features at the grid's envelope nodes (grid.envelope_nodes): the
+    engine's, when one is passed for (spec, grid) and those nodes are the
+    grid's own, and evaluated here otherwise."""
+    nodes = grid.envelope_nodes
+    if engine is not None and nodes is grid.nodes:
+        return engine.phi
+    return spec.evaluate(nodes)
+
+
 def rejection_sample(
     density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int,
-    engine: BasisGrid | None = None,
+    envelope_phi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Draw n i.i.d. points from the density by rejection against a uniform
     proposal over the domain box.
 
-    The envelope is 1.1x the largest unnormalized density over the grid
-    nodes; the 10% headroom covers peaks falling between nodes. The node
-    features come from the engine when one is passed for (spec, grid), and
-    are evaluated here otherwise; the samples are the same. Returns the
-    samples and the realized acceptance rate. Raises DegenerateDensityError
-    if acceptance stays under 1e-4 on the probe batch (density too peaked
-    for the grid resolution).
+    The envelope is 1.1x the largest unnormalized density over the grid's
+    envelope nodes; the 10% headroom covers peaks falling between nodes.
+    envelope_phi, the features at those nodes (envelope_features), lets a
+    caller drawing many bags evaluate them once; they are evaluated here
+    when not passed, and the samples are the same. Returns the samples and
+    the realized acceptance rate. Raises DegenerateDensityError if
+    acceptance stays under 1e-4 on the probe batch (density too peaked for
+    the grid resolution).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     domain = grid.domain
-    phi = engine.phi if engine is not None else spec.evaluate(grid.nodes)
+    phi = envelope_phi if envelope_phi is not None else envelope_features(spec, grid)
     log_env = np.log(1.1) + float((phi @ density.lam).max())
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 4096)
@@ -167,7 +184,7 @@ class PhaseDiagramSpec:
     threads: int = 1
     d: int = 2
     domain_halfwidth: float = 3.0
-    grid_points: int = 64
+    grid_points: int = DEFAULT_GRID_POINTS
     cmena: CmenaConfig = field(default_factory=CmenaConfig)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
@@ -181,11 +198,12 @@ class PhaseDiagramSpec:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         # The repetitions' box and grid (synth_box_grid), checked without
-        # building them.
+        # building them; the Gauss-Legendre cap on points per axis binds only
+        # in 1-D, since the node budget is lower from 2-D on.
         check_dimension(self.d)
         if not self.domain_halfwidth > 0:
             raise ValueError(f"domain_halfwidth must be positive, got {self.domain_halfwidth}")
-        check_tensor_grid(self.d, self.grid_points)
+        check_gauss_grid(self.d, self.grid_points)
         for t in self.t_values:
             if t < 1:
                 raise ValueError(f"true rank {t} must be >= 1")
@@ -212,12 +230,14 @@ class PhaseCell:
 
 def _sample_columns(matrix: LambdaMatrix, spec, grid, engine, n_per_bag, seed_parts):
     """Yield (density, rejection samples) per column of matrix, bag i drawn
-    with seed derive_seed(*seed_parts, "instances", i)."""
+    with seed derive_seed(*seed_parts, "instances", i); the envelope
+    features are evaluated once for all the columns."""
     densities = densities_from_matrix(matrix, spec, grid, engine=engine)
+    envelope_phi = envelope_features(spec, grid, engine)
     for i, dens in enumerate(densities):
         samples, _ = rejection_sample(
             dens, spec, grid, n_per_bag, derive_seed(*seed_parts, "instances", i),
-            engine=engine,
+            envelope_phi=envelope_phi,
         )
         yield dens, samples
 
@@ -310,7 +330,7 @@ def markov_bound_trial(
     a_values: list[float],
     seed: int,
     d: int = 2,
-    grid_points: int = 64,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[dict[float, float], np.ndarray]:
     """Monte Carlo check of the confidence bound.
 
@@ -377,7 +397,7 @@ def synth_two_class_bags(
     d: int = 2,
     separation: float = 1.5,
     within: float = 0.2,
-    grid_points: int = 64,
+    grid_points: int = DEFAULT_GRID_POINTS,
     halfwidth: float = 3.0,
 ):
     """Two-class bag dataset with rank-2 structure per class.
@@ -390,6 +410,8 @@ def synth_two_class_bags(
     """
     if n_bags % 2 != 0:
         raise ValueError("n_bags must be even (balanced classes)")
+    if within < 0:
+        raise ValueError(f"within must be >= 0, got {within}")
     rng = np.random.default_rng(derive_seed(seed, "structure"))
     spec = make_basis(d, m, derive_seed(seed, "basis"))
     grid = synth_box_grid(halfwidth, d, grid_points)
@@ -462,7 +484,7 @@ def runtime_benchmark(
     from .mil import avg_hausdorff, sym_kl_matrix
 
     d = 2
-    grid = synth_box_grid(3.0, d, 64)
+    grid = synth_box_grid(3.0, d)
     tasks: dict = {}
     for n in n_linear:
         rng = np.random.default_rng(derive_seed(seed, n))

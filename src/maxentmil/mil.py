@@ -13,7 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import check_grid_resolution, domain_from_data, make_auto_grid, make_basis
+from .basis import (
+    DEFAULT_GRID_POINTS,
+    check_grid_resolution,
+    domain_from_data,
+    make_auto_grid,
+    make_basis,
+)
 from .maxent import (
     BasisGrid,
     MEDensity,
@@ -363,7 +369,7 @@ class PipelineConfig:
     basis_seed: int = 0
     pca_dims: int | None = None
     margin: float = 0.1
-    grid_points: int = 64
+    grid_points: int = DEFAULT_GRID_POINTS
     mc_nodes: int = 20_000
     knn: CitationKnnConfig = field(default_factory=CitationKnnConfig)
     cmena: CmenaConfig = field(default_factory=CmenaConfig)

@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .basis import (
+    GAUSS_LEGENDRE,
     MONTE_CARLO,
     TENSOR_GRID,
     BasisSpec,
     Domain,
     IntegrationGrid,
+    make_gauss_grid,
     make_mc_grid,
     make_tensor_grid,
 )
@@ -141,15 +143,20 @@ def read_bags(path) -> LabeledBagDataset:
     return read_bags_jsonl(path)
 
 
+# The tensor grids a model file names, by kind; "tensor-grid" is the
+# midpoint grid that fit wrote by default before Gauss-Legendre.
+_TENSOR_GRIDS = {GAUSS_LEGENDRE: make_gauss_grid, TENSOR_GRID: make_tensor_grid}
+
+
 def _grid_to_dict(grid: IntegrationGrid) -> dict:
-    if grid.kind == TENSOR_GRID:
+    if grid.kind in _TENSOR_GRIDS:
         return {"kind": grid.kind, "points_per_axis": grid.points_per_axis}
     return {"kind": grid.kind, "Q": grid.n_nodes, "seed": grid.seed}
 
 
 def _grid_from_dict(rec: dict, domain: Domain) -> IntegrationGrid:
-    if rec["kind"] == TENSOR_GRID:
-        return make_tensor_grid(domain, rec["points_per_axis"])
+    if rec["kind"] in _TENSOR_GRIDS:
+        return _TENSOR_GRIDS[rec["kind"]](domain, rec["points_per_axis"])
     if rec["kind"] == MONTE_CARLO:
         return make_mc_grid(domain, rec["Q"], rec["seed"])
     raise ValueError(f"unknown grid kind {rec['kind']!r}")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from maxentmil.basis import (
+    MAX_GAUSS_POINTS,
     BasisSpec,
     Domain,
     check_grid_resolution,
     domain_from_data,
     make_basis,
+    make_gauss_grid,
     make_mc_grid,
     make_tensor_grid,
 )
@@ -110,6 +112,82 @@ class TestTensorGrid:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
+class TestGaussGrid:
+    def test_weights_sum_to_volume(self, box2d):
+        grid = make_gauss_grid(box2d, 32)
+        assert grid.kind == "gauss-legendre" and grid.size == 32**2
+        assert grid.weights.sum() == pytest.approx(36.0, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_polynomials_exact_to_degree_2n_minus_1(self, d):
+        # The n-point rule integrates x_j^k exactly for k <= 2n - 1 on every
+        # axis of an off-center box, and misses x_j^(2n).
+        n = 4
+        lo, hi = np.array([-1.0, 0.5, 2.0][:d]), np.array([2.0, 3.0, 2.5][:d])
+        grid = make_gauss_grid(Domain(lo=lo, hi=hi), n)
+        volume = np.prod(hi - lo)
+        for j in range(d):
+            rest = volume / (hi[j] - lo[j])
+            for k in range(2 * n + 1):
+                exact = rest * (hi[j] ** (k + 1) - lo[j] ** (k + 1)) / (k + 1)
+                val = (grid.nodes[:, j] ** k * grid.weights).sum()
+                if k <= 2 * n - 1:
+                    assert val == pytest.approx(exact, rel=1e-12)
+                else:
+                    assert val != pytest.approx(exact, rel=1e-12)
+
+    def test_weights_multiply_across_axes(self):
+        # A product of per-axis monomials, each of degree <= 2n - 1, is exact.
+        grid = make_gauss_grid(Domain(lo=[-1.0, 0.0, 1.0], hi=[1.0, 2.0, 4.0]), 3)
+        x, y, z = grid.nodes.T
+        val = ((x**4) * (y**5) * (z**3) * grid.weights).sum()
+        assert val == pytest.approx((2 / 5) * (2**6 / 6) * (4**4 - 1) / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64, 128])
+    def test_rule_matches_numpy_leggauss(self, n):
+        import maxentmil.basis as basis
+
+        x, w = basis._legendre_rule(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-10)
+
+    def test_rule_computed_once_per_n(self, box2d, monkeypatch):
+        import maxentmil.basis as basis
+
+        calls = []
+        original = basis._legendre
+
+        def counting(n, x):
+            calls.append(n)
+            return original(n, x)
+
+        basis._legendre_rule.cache_clear()
+        monkeypatch.setattr(basis, "_legendre", counting)
+        try:
+            a = make_gauss_grid(box2d, 7)
+            first = len(calls)
+            b = make_gauss_grid(Domain(lo=[0.0], hi=[1.0]), 7)
+            assert len(calls) == first and set(calls) == {7}
+            make_gauss_grid(box2d, 9)
+            assert set(calls[first:]) == {9}
+        finally:
+            basis._legendre_rule.cache_clear()
+        np.testing.assert_array_equal(a.nodes[::7, 1], np.full(7, a.nodes[0, 1]))
+        assert b.size == 7
+
+    def test_points_per_axis_capped_before_any_rule(self):
+        with pytest.raises(GridBudgetError, match=f"at most {MAX_GAUSS_POINTS} points per axis"):
+            make_gauss_grid(Domain(lo=[0.0], hi=[1.0]), MAX_GAUSS_POINTS + 1)
+
+    def test_envelope_is_midpoint_lattice_built_once(self, box2d):
+        grid = make_gauss_grid(box2d, 32)
+        np.testing.assert_array_equal(grid.envelope_nodes, make_tensor_grid(box2d, 64).nodes)
+        assert grid.envelope_nodes is grid.envelope_nodes
+        midpoint = make_tensor_grid(box2d, 16)
+        assert midpoint.envelope_nodes is midpoint.nodes
+
+
 class TestGridResolution:
     # One frequency row (2, 0.5): the limit on axis j is pi * ppa / |g_j|.
     spec = BasisSpec(d=2, m=2, seed=0, freqs=np.array([[2.0, 0.5]]))
@@ -127,6 +205,19 @@ class TestGridResolution:
     def test_monte_carlo_grid_not_checked(self):
         box = Domain(lo=[0.0, 0.0], hi=[1.0, 1e6])
         check_grid_resolution(self.spec, make_mc_grid(box, 10, seed=0))
+
+    def test_gauss_legendre_limit_is_2n_over_frequency(self):
+        # The 8-point rule: axis 0 (|g| = 2) is limited to 2 * 8 / 2 = 8 wide.
+        inside = Domain(lo=[0.0, 0.0], hi=[7.99, 1.0])
+        check_grid_resolution(self.spec, make_gauss_grid(inside, 8))
+        message = (
+            r"the 8-point Gauss-Legendre grid is too coarse for the basis: axis 0 is 8 wide, "
+            r"over its limit of 8 \(largest \|frequency\| 2 times the axis width must stay "
+            r"below 2 x 8 = 16\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            at_limit = Domain(lo=[0.0, 0.0], hi=[8.0, 1.0])
+            check_grid_resolution(self.spec, make_gauss_grid(at_limit, 8))
 
 
 class TestMcGrid:
@@ -175,3 +266,4 @@ class TestDomainFromData:
 def test_domain_requires_lo_below_hi():
     with pytest.raises(ValueError):
         Domain(lo=[0.0, 1.0], hi=[1.0, 1.0])
+

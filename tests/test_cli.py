@@ -171,7 +171,9 @@ class TestFitCommand:
 
     def test_fit_load_ranks_agree_with_inprocess(self, bag_file, tmp_path):
         from maxentmil.lowrank import numeric_rank
-        from maxentmil.basis import domain_from_data, make_auto_grid, make_basis
+        from maxentmil.basis import (
+            DEFAULT_GRID_POINTS, domain_from_data, make_auto_grid, make_basis,
+        )
         from maxentmil.maxent import BasisGrid, suff_stats
         from maxentmil.solvers import fit_rmde
 
@@ -185,7 +187,7 @@ class TestFitCommand:
         file_matrix = np.column_stack([d.lam for d in densities])
         spec2 = make_basis(ds.d, 8, 3)
         domain2 = domain_from_data(ds.pooled_instances(), 0.1)
-        grid2 = make_auto_grid(domain2, 64, 20_000, 3)
+        grid2 = make_auto_grid(domain2, DEFAULT_GRID_POINTS, 20_000, 3)
         engine = BasisGrid(spec2, grid2)
         stats = [suff_stats(b.instances, spec2, b.bag_id) for b in ds.bags]
         sol, _ = fit_rmde(stats, spec2, grid2, 0.5, engine=engine)
@@ -609,8 +611,10 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         ("phase-diagram", ["--grid-points", "1"], "grid_points (points per axis) must be >= 2, got 1"),
         ("phase-diagram", ["--domain-halfwidth", "-1"], "domain_halfwidth must be positive, got -1.0"),
         ("phase-diagram", ["--d", "0"], "instance dimension d must be >= 1, got 0"),
-        ("phase-diagram", ["--d", "4"], "tensor grid needs 64^4 = 16777216 nodes, over the budget"),
+        ("phase-diagram", ["--d", "4", "--grid-points", "64"],
+         "tensor grid needs 64^4 = 16777216 nodes, over the budget"),
         ("phase-diagram", ["--t-values", "0"], "true rank 0 must be >= 1"),
+        ("synth", ["--mode", "two-class", "--within", "-1"], "within must be >= 0, got -1.0"),
     ],
     ids=[
         "fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check",
@@ -618,7 +622,7 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         "phase-diagram-n_per_bag-flag", "phase-diagram-threads", "phase-diagram-t-flag",
         "classify-k-flag", "phase-diagram-grid_points-flag",
         "phase-diagram-domain_halfwidth-flag", "phase-diagram-d-flag",
-        "phase-diagram-grid-budget-flag", "phase-diagram-t-zero-flag",
+        "phase-diagram-grid-budget-flag", "phase-diagram-t-zero-flag", "synth-within-flag",
     ],
 )
 def test_bad_parameter_writes_nothing(
@@ -784,8 +788,9 @@ def test_fit_rejects_grid_too_coarse_for_basis(bag_file, tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["fit", str(far), "--out", str(out), "--solver", "mde", "--m", "8"]) == 1
     assert (
-        "the 64-point tensor grid is too coarse for the basis: axis 1 is 1.2e+300 wide, "
-        "over its limit of 212.3" in capsys.readouterr().err
+        "the 32-point Gauss-Legendre grid is too coarse for the basis: axis 1 is 1.2e+300 "
+        "wide, over its limit of 67.58 (largest |frequency| 0.9471 times the axis width "
+        "must stay below 2 x 32 = 64)" in capsys.readouterr().err
     )
     assert not out.exists()
 
@@ -800,8 +805,8 @@ def test_classify_rejects_grid_too_coarse_for_basis(bag_file, tmp_path, capsys):
     ])
     assert code == 1
     assert (
-        "the 3-point tensor grid is too coarse for the basis: axis 0 is 4.953 wide, "
-        "over its limit of 4.054" in capsys.readouterr().err
+        "the 3-point Gauss-Legendre grid is too coarse for the basis: axis 0 is 4.953 wide, "
+        "over its limit of 2.581" in capsys.readouterr().err
     )
 
 

@@ -9,6 +9,7 @@ from maxentmil.experiments import (
     PhaseDiagramSpec,
     densities_from_matrix,
     derive_seed,
+    envelope_features,
     markov_bound_trial,
     phase_cells,
     recovery_threshold,
@@ -91,8 +92,9 @@ class TestRejectionSample:
         assert ra == rb
 
     def test_engine_serves_node_features(self, spec2d, grid2d, engine2d, monkeypatch):
-        # With an engine the envelope reads its node features; the samples
-        # and the rate are those of the call without one.
+        # On a midpoint grid the envelope features are the engine's node
+        # features; passed in, the samples and the rate are those of the
+        # call without them.
         from maxentmil.basis import BasisSpec
 
         dens = densities_from_matrix(
@@ -108,10 +110,50 @@ class TestRejectionSample:
             return original(self, x)
 
         monkeypatch.setattr(BasisSpec, "evaluate", recording)
-        samples, rate = rejection_sample(dens, spec2d, grid2d, 500, seed=4, engine=engine2d)
+        envelope_phi = envelope_features(spec2d, grid2d, engine2d)
+        assert envelope_phi is engine2d.phi
+        samples, rate = rejection_sample(
+            dens, spec2d, grid2d, 500, seed=4, envelope_phi=envelope_phi
+        )
         np.testing.assert_array_equal(samples, plain)
         assert rate == plain_rate
         assert node_calls and not any(node_calls)
+
+    def test_gauss_grid_draws_the_midpoint_samples(self, spec2d, box2d, rng):
+        # A Gauss-Legendre grid takes its envelope on the 64-per-axis
+        # midpoint lattice, so it draws the samples of that midpoint grid.
+        from maxentmil.basis import make_gauss_grid, make_tensor_grid
+
+        gauss, midpoint = make_gauss_grid(box2d, 32), make_tensor_grid(box2d, 64)
+        for seed in range(3):
+            lam = rng.uniform(-0.8, 0.8, 8)
+            dens = densities_from_matrix(
+                LambdaMatrix(data=lam[:, None], bag_ids=("b",)), spec2d, gauss
+            )[0]
+            a, ra = rejection_sample(dens, spec2d, gauss, 500, seed=seed)
+            b, rb = rejection_sample(dens, spec2d, midpoint, 500, seed=seed)
+            np.testing.assert_array_equal(a, b)
+            assert ra == rb
+
+    def test_columns_evaluate_envelope_once(self, spec2d, monkeypatch):
+        # Sampling a matrix evaluates the envelope lattice's features once,
+        # not once per bag.
+        from maxentmil.basis import BasisSpec
+        from maxentmil.experiments import synth_bags_from_matrix
+
+        grid = synth_box_grid()
+        original = BasisSpec.evaluate
+        lattice_calls = []
+
+        def recording(self, x):
+            lattice_calls.append(x is grid.envelope_nodes)
+            return original(self, x)
+
+        monkeypatch.setattr(BasisSpec, "evaluate", recording)
+        matrix = LambdaMatrix(data=np.full((8, 4), 0.1), bag_ids=("a", "b", "c", "d"))
+        ds = synth_bags_from_matrix(matrix, spec2d, grid, 50, seed=2)
+        assert len(ds.bags) == 4
+        assert sum(lattice_calls) == 1
 
     def test_degenerate_density_raises(self):
         # A density peaked far below the grid resolution: the envelope

@@ -1,9 +1,10 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxentmil.basis import domain_from_data, make_basis, make_tensor_grid
+from maxentmil.basis import domain_from_data, make_basis, make_gauss_grid, make_tensor_grid
 from maxentmil.maxent import BasisGrid, densities_from_columns, suff_stats
 from maxentmil.mil import Bag, LabeledBagDataset
 from maxentmil.modelio import (
@@ -105,7 +106,7 @@ class TestModelFile:
     def test_roundtrip(self, dataset, tmp_path):
         spec = make_basis(2, 6, seed=3)
         domain = domain_from_data(dataset.pooled_instances(), 0.1)
-        grid = make_tensor_grid(domain, 32)
+        grid = make_gauss_grid(domain, 32)
         engine = BasisGrid(spec, grid)
         stats = [suff_stats(b.instances, spec, b.bag_id) for b in dataset.bags]
         lam = np.column_stack([0.1 * np.arange(6), np.zeros(6), -0.05 * np.ones(6)])
@@ -120,8 +121,9 @@ class TestModelFile:
         spec2, domain2, grid2, densities2, ns2, raw = load_model(path)
         np.testing.assert_array_equal(spec2.freqs, spec.freqs)
         np.testing.assert_allclose(domain2.lo, domain.lo)
-        assert grid2.kind == grid.kind and grid2.size == grid.size
+        assert grid2.kind == grid.kind == "gauss-legendre" and grid2.size == grid.size
         np.testing.assert_array_equal(grid2.nodes, grid.nodes)
+        np.testing.assert_array_equal(grid2.weights, grid.weights)
         assert ns2 == [s.n for s in stats]
         for d0, d1 in zip(densities, densities2):
             assert d0.bag_id == d1.bag_id
@@ -141,6 +143,21 @@ class TestModelFile:
         spec2, domain2, grid2, densities2, ns2, _ = load_model(p1)
         write_json(p2, model_to_dict(spec2, domain2, grid2, densities2, ns2, "mde"))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tensor_grid_model_still_loads(self):
+        # A model written with a midpoint grid before Gauss-Legendre became
+        # the default: its grid is rebuilt, and its densities' logZ match it.
+        path = Path(__file__).parent / "data" / "model_tensor_grid.json"
+        spec, domain, grid, densities, ns, raw = load_model(path)
+        assert raw["grid"] == {"kind": "tensor-grid", "points_per_axis": 16}
+        assert grid.kind == "tensor-grid"
+        np.testing.assert_array_equal(grid.nodes, make_tensor_grid(domain, 16).nodes)
+        lam = np.column_stack([d.lam for d in densities])
+        np.testing.assert_allclose(
+            BasisGrid(spec, grid).log_partition_many(lam), [d.logZ for d in densities],
+            rtol=1e-12,
+        )
+        assert len(ns) == 4
 
     @pytest.mark.parametrize(
         "edit, message",
