@@ -198,15 +198,16 @@ def check_tensor_grid(d: int, points_per_axis: int, max_nodes: int = MAX_GRID_NO
     return q
 
 
-def check_gauss_grid(d: int, points_per_axis: int) -> None:
+def check_gauss_grid(d: int, points_per_axis: int) -> int:
     """check_tensor_grid for a Gauss-Legendre grid, which also has at most
     MAX_GAUSS_POINTS points per axis."""
-    check_tensor_grid(d, points_per_axis)
+    q = check_tensor_grid(d, points_per_axis)
     if points_per_axis > MAX_GAUSS_POINTS:
         raise GridBudgetError(
             f"a Gauss-Legendre grid has at most {MAX_GAUSS_POINTS} points per axis, "
             f"got {points_per_axis}"
         )
+    return q
 
 
 def _mesh(axes: list[np.ndarray]) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -24,11 +25,12 @@ from .basis import (
     check_dimension,
     check_feature_count,
     check_gauss_grid,
+    check_tensor_grid,
     make_basis,
     make_gauss_grid,
     make_tensor_grid,
 )
-from .errors import DegenerateDensityError
+from .errors import DegenerateDensityError, GridBudgetError
 from .lowrank import numeric_rank
 from .maxent import (
     BasisGrid,
@@ -48,6 +50,11 @@ from .solvers import (
 
 PHASE_SOLVERS = ("cmen", "rmde-continuation", "rmde-cv")
 
+# Cap on a phase repetition's feature matrix (grid nodes x largest m), which
+# each worker holds: 2^24 entries, 128 MiB of float64. A 64^3 grid at m = 40
+# needs 10.5 million; the 32^4 midpoint grid at m = 40 would need 41.9 million.
+MAX_FEATURE_ENTRIES = 2**24
+
 
 def derive_seed(*parts) -> int:
     """Stable 32-bit seed from a mixed tuple of ints and strings."""
@@ -62,11 +69,29 @@ def synth_box_grid(
     halfwidth: float = 3.0, d: int = 2, points_per_axis: int = DEFAULT_GRID_POINTS
 ) -> IntegrationGrid:
     """The fixed synthetic-experiment domain: a centered box with a
-    Gauss-Legendre tensor grid up to 3 dimensions, a midpoint one above."""
+    Gauss-Legendre tensor grid up to 3 dimensions, a midpoint one above.
+
+    One grid per (halfwidth, d, points_per_axis) is built per process and
+    shared: grids are frozen with read-only arrays, so a sweep's
+    repetitions reuse its nodes and its envelope lattice
+    (IntegrationGrid.envelope_nodes) instead of rebuilding them."""
+    return _box_grid(halfwidth, d, points_per_axis)
+
+
+@lru_cache(maxsize=8)
+def _box_grid(halfwidth: float, d: int, points_per_axis: int) -> IntegrationGrid:
     domain = Domain(lo=np.full(d, -halfwidth), hi=np.full(d, halfwidth))
     if d <= 3:
         return make_gauss_grid(domain, points_per_axis)
     return make_tensor_grid(domain, points_per_axis)
+
+
+def _check_box_grid(d: int, points_per_axis: int) -> int:
+    """The node count of synth_box_grid(., d, points_per_axis), checked
+    without building the grid."""
+    if d <= 3:
+        return check_gauss_grid(d, points_per_axis)
+    return check_tensor_grid(d, points_per_axis)
 
 
 def synth_lowrank_lambda(
@@ -203,7 +228,7 @@ class PhaseDiagramSpec:
         check_dimension(self.d)
         if not self.domain_halfwidth > 0:
             raise ValueError(f"domain_halfwidth must be positive, got {self.domain_halfwidth}")
-        check_gauss_grid(self.d, self.grid_points)
+        q = _check_box_grid(self.d, self.grid_points)
         for t in self.t_values:
             if t < 1:
                 raise ValueError(f"true rank {t} must be >= 1")
@@ -214,6 +239,14 @@ class PhaseDiagramSpec:
             for t in self.t_values:
                 if t >= m:
                     raise ValueError(f"true rank {t} must be < feature count {m}")
+        # Each repetition holds a (nodes x m) feature matrix per worker.
+        m_max = max(self.m_values, default=0)
+        if q * m_max > MAX_FEATURE_ENTRIES:
+            raise GridBudgetError(
+                f"the {self.grid_points}^{self.d} grid's feature matrix needs {q} nodes "
+                f"x {m_max} features = {q * m_max} entries, over the budget of "
+                f"{MAX_FEATURE_ENTRIES}"
+            )
 
 
 @dataclass(frozen=True)

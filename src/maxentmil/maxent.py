@@ -105,9 +105,10 @@ class NewtonConfig:
 _scratch = threading.local()
 
 
-def _workspace(q: int, n: int) -> np.ndarray:
-    """The calling thread's (Q, N) kernel workspace, allocated on first use
-    and again when the shape changes; the next kernel call overwrites it.
+def _workspace(n: int, q: int) -> np.ndarray:
+    """The calling thread's (N, Q) kernel workspace, one row per bag,
+    allocated on first use and again when the shape changes; the next
+    kernel call overwrites it.
 
     One workspace per thread, shared by every engine the thread uses, not
     one per engine: callers keep engines alive after their solve (a sweep's
@@ -116,8 +117,8 @@ def _workspace(q: int, n: int) -> np.ndarray:
     calls never share it.
     """
     work = getattr(_scratch, "work", None)
-    if work is None or work.shape != (q, n):
-        work = _scratch.work = np.empty((q, n))
+    if work is None or work.shape != (n, q):
+        work = _scratch.work = np.empty((n, q))
     return work
 
 
@@ -129,8 +130,11 @@ class BasisGrid:
     every bag and every iteration.
 
     The kernels (log_partition_many, logz_and_mean_many, and log_partition
-    and node_probs as their one-column case) compute in a reusable (Q, N)
-    workspace (see _workspace) and return fresh arrays that never alias it.
+    and node_probs as their one-column case) compute node-major, in a
+    reusable (N, Q) workspace (see _workspace): each bag's scores fill one
+    contiguous row, so its max and sum run along that row. phi stays (Q, m);
+    the products read its transpose as a view. The kernels return fresh
+    arrays that never alias the workspace.
     """
 
     def __init__(self, spec, grid: IntegrationGrid):
@@ -145,13 +149,13 @@ class BasisGrid:
 
     def log_partition(self, lam: np.ndarray) -> float:
         e, shift = self._shifted_exp(lam[:, None])
-        return float(shift[0] + np.log(e[:, 0].sum()))
+        return float(shift[0] + np.log(e[0].sum()))
 
     def node_probs(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """logZ and the node probabilities w_q * exp(lam.phi_q - logZ)."""
         e, shift = self._shifted_exp(lam[:, None])
-        total = e[:, 0].sum()
-        return float(shift[0] + np.log(total)), e[:, 0] / total
+        total = e[0].sum()
+        return float(shift[0] + np.log(total)), e[0] / total
 
     def moments(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """logZ, feature mean and feature covariance under the density."""
@@ -163,27 +167,29 @@ class BasisGrid:
         return logz, mean, cov
 
     def _shifted_exp(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """exp(scores - shift) per column, in the workspace, and the (N,) shift."""
-        e = _workspace(self.phi.shape[0], lambdas.shape[1])
-        np.matmul(self.phi, lambdas, out=e)
-        e += self.logw[:, None]
-        shift = e.max(axis=0)
-        e -= shift
+        """exp(scores - shift) per bag row, in the (N, Q) workspace, and the
+        (N,) shift."""
+        e = _workspace(lambdas.shape[1], self.phi.shape[0])
+        np.matmul(lambdas.T, self.phi.T, out=e)
+        e += self.logw
+        shift = e.max(axis=1)
+        e -= shift[:, None]
         np.exp(e, out=e)
         return e, shift
 
     def log_partition_many(self, lambdas: np.ndarray) -> np.ndarray:
         """logZ per column of an (m, N) parameter matrix."""
         e, shift = self._shifted_exp(lambdas)
-        return shift + np.log(e.sum(axis=0))
+        return shift + np.log(e.sum(axis=1))
 
     def logz_and_mean_many(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column logZ (N,) and feature means (m, N)."""
+        """Per-column logZ (N,) and feature means (m, N); the unnormalized
+        (m, N) means are divided by the totals, not the (N, Q) weights."""
         e, shift = self._shifted_exp(lambdas)
-        totals = e.sum(axis=0)
+        totals = e.sum(axis=1)
         logz = shift + np.log(totals)
-        e /= totals
-        means = self.phi.T @ e
+        means = self.phi.T @ e.T
+        means /= totals
         return logz, means
 
 

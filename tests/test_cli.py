@@ -613,6 +613,9 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         ("phase-diagram", ["--d", "0"], "instance dimension d must be >= 1, got 0"),
         ("phase-diagram", ["--d", "4", "--grid-points", "64"],
          "tensor grid needs 64^4 = 16777216 nodes, over the budget"),
+        ("phase-diagram", ["--d", "4"],
+         "the 32^4 grid's feature matrix needs 1048576 nodes x 40 features = 41943040 "
+         "entries, over the budget of 16777216"),
         ("phase-diagram", ["--t-values", "0"], "true rank 0 must be >= 1"),
         ("synth", ["--mode", "two-class", "--within", "-1"], "within must be >= 0, got -1.0"),
     ],
@@ -622,7 +625,8 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         "phase-diagram-n_per_bag-flag", "phase-diagram-threads", "phase-diagram-t-flag",
         "classify-k-flag", "phase-diagram-grid_points-flag",
         "phase-diagram-domain_halfwidth-flag", "phase-diagram-d-flag",
-        "phase-diagram-grid-budget-flag", "phase-diagram-t-zero-flag", "synth-within-flag",
+        "phase-diagram-grid-budget-flag", "phase-diagram-feature-budget-flag",
+        "phase-diagram-t-zero-flag", "synth-within-flag",
     ],
 )
 def test_bad_parameter_writes_nothing(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxentmil.errors import DegenerateDensityError
+from maxentmil.errors import DegenerateDensityError, GridBudgetError
 from maxentmil.lowrank import numeric_rank
 from maxentmil.maxent import BasisGrid, MEDensity
 from maxentmil.basis import make_basis
@@ -195,6 +195,46 @@ class TestRejectionSample:
         assert -0.6 <= slope <= -0.4
 
 
+class TestSynthBoxGrid:
+    def test_one_grid_per_settings(self):
+        grid = synth_box_grid(3.0, 2, 32)
+        assert synth_box_grid(3.0, 2, 32) is grid
+        assert synth_box_grid() is grid
+        assert synth_box_grid(3.0, 2, 16) is not grid
+
+    def test_shared_grid_is_immutable(self):
+        import dataclasses
+
+        grid = synth_box_grid(3.0, 2, 32)
+        assert not grid.nodes.flags.writeable
+        assert not grid.weights.flags.writeable
+        with pytest.raises(ValueError):
+            grid.nodes[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.nodes = np.zeros((1, 2))
+
+    def test_envelope_lattice_built_once_across_repetitions(self, monkeypatch):
+        import maxentmil.basis as basis
+        import maxentmil.experiments as experiments
+
+        original = basis.make_tensor_grid
+        builds = []
+
+        def counting(domain, points_per_axis, *args):
+            builds.append(points_per_axis)
+            return original(domain, points_per_axis, *args)
+
+        monkeypatch.setattr(basis, "make_tensor_grid", counting)
+        experiments._box_grid.cache_clear()
+        pd = PhaseDiagramSpec(
+            n_bags=4, m_values=(8,), t_values=(2,), n_per_bag=50, reps=2,
+            base_seed=1, solver="cmen", grid_points=16,
+        )
+        (cell,) = run_phase_diagram(pd)
+        assert len(cell.ranks) == 2 and min(cell.ranks) >= 0
+        assert builds == [basis.ENVELOPE_POINTS]
+
+
 class TestRecoveryThreshold:
     def test_constant_ensemble(self):
         mat = synth_lowrank_lambda(8, 5, 2, seed=0)
@@ -263,6 +303,22 @@ class TestPhaseDiagram:
             PhaseDiagramSpec(
                 n_bags=5, m_values=(8,), t_values=(2,), n_per_bag=100, solver="nope"
             )
+
+    def test_feature_matrix_budget_checks_the_grid_built(self):
+        # Above 3 dimensions the repetitions build a midpoint grid: 32^4
+        # nodes pass the node budget, but their feature matrix at m = 40 is
+        # refused before any repetition runs.
+        with pytest.raises(GridBudgetError) as err:
+            PhaseDiagramSpec(
+                n_bags=20, m_values=(20, 40), t_values=(2,), n_per_bag=10, d=4
+            )
+        assert str(err.value) == (
+            "the 32^4 grid's feature matrix needs 1048576 nodes x 40 features "
+            "= 41943040 entries, over the budget of 16777216"
+        )
+        PhaseDiagramSpec(
+            n_bags=20, m_values=(20, 40), t_values=(2,), n_per_bag=10, d=4, grid_points=8
+        )
 
     @pytest.mark.slow
     def test_worker_pool_matches_serial(self, tiny_grid):

@@ -141,18 +141,19 @@ class TestDensityMoments:
 
 
 def reference_log_partition_many(engine, lambdas):
-    """The batched logZ written with one fresh array per step."""
-    a = engine.phi @ lambdas + engine.logw[:, None]
-    shift = a.max(axis=0)
-    return shift + np.log(np.exp(a - shift).sum(axis=0))
+    """The batched logZ in the kernel's node-major order (one row of scores
+    per bag), written with one fresh array per step."""
+    a = lambdas.T @ engine.phi.T + engine.logw
+    shift = a.max(axis=1)
+    return shift + np.log(np.exp(a - shift[:, None]).sum(axis=1))
 
 
 def reference_logz_and_mean_many(engine, lambdas):
-    a = engine.phi @ lambdas + engine.logw[:, None]
-    shift = a.max(axis=0)
-    e = np.exp(a - shift)
-    totals = e.sum(axis=0)
-    return shift + np.log(totals), engine.phi.T @ (e / totals)
+    a = lambdas.T @ engine.phi.T + engine.logw
+    shift = a.max(axis=1)
+    e = np.exp(a - shift[:, None])
+    totals = e.sum(axis=1)
+    return shift + np.log(totals), (engine.phi.T @ e.T) / totals
 
 
 class TestBatchedKernels:
@@ -173,6 +174,19 @@ class TestBatchedKernels:
             ref_logz, ref_means = reference_logz_and_mean_many(engine, lambdas)
             assert logz.tobytes() == ref_logz.tobytes()
             assert means.tobytes() == ref_means.tobytes()
+
+    def test_matches_node_column_formula(self, engine):
+        # The (Q, N) formula, one column of scores per bag, normalizing the
+        # node weights before the mean: the same sums in another order.
+        lambdas = np.random.default_rng(4).uniform(-3, 3, size=(16, 36))
+        a = engine.phi @ lambdas + engine.logw[:, None]
+        shift = a.max(axis=0)
+        e = np.exp(a - shift)
+        totals = e.sum(axis=0)
+        logz, means = engine.logz_and_mean_many(lambdas)
+        np.testing.assert_allclose(logz, shift + np.log(totals), rtol=1e-13)
+        np.testing.assert_allclose(engine.log_partition_many(lambdas), logz, rtol=1e-13)
+        np.testing.assert_allclose(means, engine.phi.T @ (e / totals), rtol=1e-13)
 
     @pytest.mark.parametrize("name", ["log_partition_many", "logz_and_mean_many"])
     def test_results_survive_later_calls(self, engine, name):
