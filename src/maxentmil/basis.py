@@ -9,6 +9,7 @@ by 1, which the density solvers rely on.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -168,6 +169,27 @@ class IntegrationGrid:
         if self.kind != GAUSS_LEGENDRE:
             return self.nodes
         return make_tensor_grid(self.domain, ENVELOPE_POINTS).nodes
+
+
+_features = threading.local()
+
+
+def node_features(spec: BasisSpec, nodes: np.ndarray) -> np.ndarray:
+    """spec.evaluate(nodes), read-only, for a grid's own node array
+    (grid.nodes or grid.envelope_nodes). Each thread keeps its last
+    (spec, nodes) pair, keyed by identity (both are frozen and read-only,
+    and the entry's references keep the ids alive), with its features: an
+    engine (maxent.BasisGrid) and the rejection envelopes drawn after it
+    (experiments.rejection_sample) evaluate a node set once."""
+    if nodes.flags.writeable:
+        raise ValueError("node_features takes a grid's read-only node array")
+    last = getattr(_features, "last", None)
+    if last is not None and last[0] is spec and last[1] is nodes:
+        return last[2]
+    phi = spec.evaluate(nodes)
+    phi.setflags(write=False)
+    _features.last = (spec, nodes, phi)
+    return phi
 
 
 def check_dimension(d: int) -> None:

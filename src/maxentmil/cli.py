@@ -47,6 +47,7 @@ from .modelio import (
 from .experiments import (
     PHASE_SOLVERS,
     PhaseDiagramSpec,
+    check_box_features,
     markov_bound_trial,
     phase_cells,
     runtime_benchmark,
@@ -357,6 +358,7 @@ def cmd_bound_check(args) -> int:
 
 def cmd_synth(args) -> int:
     params = _params(args)
+    check_box_features(params["d"], params["grid_points"], params["m"])
     if params["mode"] == "two-class":
         dataset, truth = synth_two_class_bags(
             params["n_bags"], params["n_per_bag"], params["m"], params["seed"],

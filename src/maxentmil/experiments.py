@@ -29,6 +29,7 @@ from .basis import (
     make_basis,
     make_gauss_grid,
     make_tensor_grid,
+    node_features,
 )
 from .errors import DegenerateDensityError, GridBudgetError
 from .lowrank import numeric_rank
@@ -50,9 +51,8 @@ from .solvers import (
 
 PHASE_SOLVERS = ("cmen", "rmde-continuation", "rmde-cv")
 
-# Cap on a phase repetition's feature matrix (grid nodes x largest m), which
-# each worker holds: 2^24 entries, 128 MiB of float64. A 64^3 grid at m = 40
-# needs 10.5 million; the 32^4 midpoint grid at m = 40 would need 41.9 million.
+# Cap on the (grid nodes x m) feature matrix a phase worker or synth holds:
+# 2^24 entries (128 MiB); the 32^4 midpoint grid at m = 40 needs 41.9 million.
 MAX_FEATURE_ENTRIES = 2**24
 
 
@@ -86,12 +86,16 @@ def _box_grid(halfwidth: float, d: int, points_per_axis: int) -> IntegrationGrid
     return make_tensor_grid(domain, points_per_axis)
 
 
-def _check_box_grid(d: int, points_per_axis: int) -> int:
-    """The node count of synth_box_grid(., d, points_per_axis), checked
-    without building the grid."""
-    if d <= 3:
-        return check_gauss_grid(d, points_per_axis)
-    return check_tensor_grid(d, points_per_axis)
+def check_box_features(d: int, points_per_axis: int, m: int) -> None:
+    """Check synth_box_grid(., d, points_per_axis)'s dimension, node count
+    and (nodes x m) feature matrix against MAX_FEATURE_ENTRIES, unbuilt."""
+    check_dimension(d)
+    q = (check_gauss_grid if d <= 3 else check_tensor_grid)(d, points_per_axis)
+    if q * m > MAX_FEATURE_ENTRIES:
+        raise GridBudgetError(
+            f"the {points_per_axis}^{d} grid's feature matrix needs {q} nodes x {m} "
+            f"features = {q * m} entries, over the budget of {MAX_FEATURE_ENTRIES}"
+        )
 
 
 def synth_lowrank_lambda(
@@ -122,38 +126,26 @@ def densities_from_matrix(
     return densities_from_columns(matrix.data, matrix.bag_ids, spec, grid, engine)
 
 
-def envelope_features(
-    spec, grid: IntegrationGrid, engine: BasisGrid | None = None
-) -> np.ndarray:
-    """Features at the grid's envelope nodes (grid.envelope_nodes): the
-    engine's, when one is passed for (spec, grid) and those nodes are the
-    grid's own, and evaluated here otherwise."""
-    nodes = grid.envelope_nodes
-    if engine is not None and nodes is grid.nodes:
-        return engine.phi
-    return spec.evaluate(nodes)
-
-
 def rejection_sample(
-    density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int,
-    envelope_phi: np.ndarray | None = None,
+    density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int
 ) -> tuple[np.ndarray, float]:
     """Draw n i.i.d. points from the density by rejection against a uniform
     proposal over the domain box.
 
     The envelope is 1.1x the largest unnormalized density over the grid's
     envelope nodes; the 10% headroom covers peaks falling between nodes.
-    envelope_phi, the features at those nodes (envelope_features), lets a
-    caller drawing many bags evaluate them once; they are evaluated here
-    when not passed, and the samples are the same. Returns the samples and
-    the realized acceptance rate. Raises DegenerateDensityError if
-    acceptance stays under 1e-4 on the probe batch (density too peaked for
-    the grid resolution).
+    Their features come from basis.node_features, evaluated once for a run
+    of bags with one spec. Returns the samples and the realized acceptance
+    rate. Raises ValueError for a density of another basis, and
+    DegenerateDensityError if acceptance stays under 1e-4 on the probe
+    batch (density too peaked for the grid resolution).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if density.basis_key != spec.key:
+        raise ValueError(f"density basis {density.basis_key} is not {spec.key}")
     domain = grid.domain
-    phi = envelope_phi if envelope_phi is not None else envelope_features(spec, grid)
+    phi = node_features(spec, grid.envelope_nodes)
     log_env = np.log(1.1) + float((phi @ density.lam).max())
     rng = np.random.default_rng(seed)
     chunk = max(4 * n, 4096)
@@ -222,13 +214,8 @@ class PhaseDiagramSpec:
             raise ValueError("n_per_bag must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        # The repetitions' box and grid (synth_box_grid), checked without
-        # building them; the Gauss-Legendre cap on points per axis binds only
-        # in 1-D, since the node budget is lower from 2-D on.
-        check_dimension(self.d)
         if not self.domain_halfwidth > 0:
             raise ValueError(f"domain_halfwidth must be positive, got {self.domain_halfwidth}")
-        q = _check_box_grid(self.d, self.grid_points)
         for t in self.t_values:
             if t < 1:
                 raise ValueError(f"true rank {t} must be >= 1")
@@ -239,14 +226,7 @@ class PhaseDiagramSpec:
             for t in self.t_values:
                 if t >= m:
                     raise ValueError(f"true rank {t} must be < feature count {m}")
-        # Each repetition holds a (nodes x m) feature matrix per worker.
-        m_max = max(self.m_values, default=0)
-        if q * m_max > MAX_FEATURE_ENTRIES:
-            raise GridBudgetError(
-                f"the {self.grid_points}^{self.d} grid's feature matrix needs {q} nodes "
-                f"x {m_max} features = {q * m_max} entries, over the budget of "
-                f"{MAX_FEATURE_ENTRIES}"
-            )
+        check_box_features(self.d, self.grid_points, max(self.m_values, default=0))
 
 
 @dataclass(frozen=True)
@@ -263,16 +243,10 @@ class PhaseCell:
 
 def _sample_columns(matrix: LambdaMatrix, spec, grid, engine, n_per_bag, seed_parts):
     """Yield (density, rejection samples) per column of matrix, bag i drawn
-    with seed derive_seed(*seed_parts, "instances", i); the envelope
-    features are evaluated once for all the columns."""
-    densities = densities_from_matrix(matrix, spec, grid, engine=engine)
-    envelope_phi = envelope_features(spec, grid, engine)
-    for i, dens in enumerate(densities):
-        samples, _ = rejection_sample(
-            dens, spec, grid, n_per_bag, derive_seed(*seed_parts, "instances", i),
-            envelope_phi=envelope_phi,
-        )
-        yield dens, samples
+    with seed derive_seed(*seed_parts, "instances", i)."""
+    for i, dens in enumerate(densities_from_matrix(matrix, spec, grid, engine=engine)):
+        seed = derive_seed(*seed_parts, "instances", i)
+        yield dens, rejection_sample(dens, spec, grid, n_per_bag, seed)[0]
 
 
 def _phase_rep(args) -> tuple[int, tuple[str, ...]]:

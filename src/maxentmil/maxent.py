@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .basis import BasisSpec, IntegrationGrid
+from .basis import BasisSpec, IntegrationGrid, node_features
 from .errors import ConvergenceError
 
 
@@ -127,7 +127,8 @@ class BasisGrid:
 
     Building the (Q, m) feature matrix dominates the cost of a single
     density query, so solvers construct one BasisGrid and reuse it for
-    every bag and every iteration.
+    every bag and every iteration. phi is read-only (basis.node_features):
+    a midpoint grid's rejection envelope reuses it.
 
     The kernels (log_partition_many, logz_and_mean_many, and log_partition
     and node_probs as their one-column case) compute node-major, in a
@@ -140,7 +141,7 @@ class BasisGrid:
     def __init__(self, spec, grid: IntegrationGrid):
         self.spec = spec
         self.grid = grid
-        self.phi = spec.evaluate(grid.nodes)  # (Q, m)
+        self.phi = node_features(spec, grid.nodes)  # (Q, m)
         self.logw = np.log(grid.weights)  # (Q,)
 
     @property

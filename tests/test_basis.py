@@ -11,6 +11,7 @@ from maxentmil.basis import (
     make_gauss_grid,
     make_mc_grid,
     make_tensor_grid,
+    node_features,
 )
 from maxentmil.errors import GridBudgetError
 
@@ -186,6 +187,67 @@ class TestGaussGrid:
         assert grid.envelope_nodes is grid.envelope_nodes
         midpoint = make_tensor_grid(box2d, 16)
         assert midpoint.envelope_nodes is midpoint.nodes
+
+
+class TestNodeFeatures:
+    def test_values_read_only_and_kept_per_node_set(self, box2d):
+        grid = make_gauss_grid(box2d, 8)
+        spec = make_basis(2, 8, seed=3)  # fresh: no other test cached it
+        phi = node_features(spec, grid.nodes)
+        np.testing.assert_array_equal(phi, spec.evaluate(grid.nodes))
+        assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[0, 0] = 0.0
+        assert node_features(spec, grid.nodes) is phi
+        # Another node set, or an equal spec that is another object, is
+        # evaluated afresh; the one entry then holds that pair.
+        lattice = node_features(spec, grid.envelope_nodes)
+        assert lattice.shape == (64 * 64, 8) and not lattice.flags.writeable
+        twin = make_basis(2, 8, seed=3)
+        again = node_features(twin, grid.envelope_nodes)
+        assert again is not lattice
+        np.testing.assert_array_equal(again, lattice)
+
+    def test_engine_phi_is_read_only(self, box2d):
+        from maxentmil.maxent import BasisGrid
+
+        engine = BasisGrid(make_basis(2, 8, seed=3), make_tensor_grid(box2d, 8))
+        assert not engine.phi.flags.writeable
+
+    def test_writeable_nodes_refused(self, spec2d):
+        with pytest.raises(ValueError, match="read-only node array"):
+            node_features(spec2d, np.zeros((4, 2)))
+
+    def test_threads_get_their_own_features(self, box2d):
+        # Threads evaluating different specs on one grid, interleaved at a
+        # short switch interval, each get their spec's reference bytes.
+        import sys
+        import threading
+
+        grid = make_gauss_grid(box2d, 16)
+        specs = [make_basis(2, 8, seed=s) for s in range(6)]
+        refs = [spec.evaluate(grid.envelope_nodes).tobytes() for spec in specs]
+        bad = []
+
+        def work(i):
+            for _ in range(20):
+                for nodes in (grid.nodes, grid.envelope_nodes):
+                    phi = node_features(specs[i], nodes)
+                if phi.tobytes() != refs[i]:
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestGridResolution:

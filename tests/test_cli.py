@@ -534,6 +534,17 @@ class TestSynthCommand:
         ds = read_bags_jsonl(out / "dataset.jsonl")
         assert ds.class_set == ("a", "b")
 
+    @pytest.mark.parametrize("mode", ["lowrank", "two-class"])
+    def test_four_dimensions_within_feature_budget(self, tmp_path, mode):
+        # 8^4 midpoint nodes x 20 features fit the budget that 32^4 exceeds.
+        out = tmp_path / mode
+        assert main([
+            "synth", "--out", str(out), "--mode", mode, "--d", "4", "--grid-points", "8",
+            "--n-bags", "4", "--n-per-bag", "30",
+        ]) == 0
+        ds = read_bags_jsonl(out / "dataset.jsonl")
+        assert ds.d == 4 and len(ds.bags) == 4
+
 
 class TestBenchCommand:
     def test_bench_table(self, tmp_path):
@@ -618,6 +629,12 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
          "entries, over the budget of 16777216"),
         ("phase-diagram", ["--t-values", "0"], "true rank 0 must be >= 1"),
         ("synth", ["--mode", "two-class", "--within", "-1"], "within must be >= 0, got -1.0"),
+        ("synth", ["--d", "4"],
+         "the 32^4 grid's feature matrix needs 1048576 nodes x 20 features = 20971520 "
+         "entries, over the budget of 16777216"),
+        ("synth", ["--mode", "two-class", "--d", "4"],
+         "the 32^4 grid's feature matrix needs 1048576 nodes x 20 features = 20971520 "
+         "entries, over the budget of 16777216"),
     ],
     ids=[
         "fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check",
@@ -626,20 +643,25 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         "classify-k-flag", "phase-diagram-grid_points-flag",
         "phase-diagram-domain_halfwidth-flag", "phase-diagram-d-flag",
         "phase-diagram-grid-budget-flag", "phase-diagram-feature-budget-flag",
-        "phase-diagram-t-zero-flag", "synth-within-flag",
+        "phase-diagram-t-zero-flag", "synth-within-flag", "synth-feature-budget-flag",
+        "synth-two-class-feature-budget-flag",
     ],
 )
 def test_bad_parameter_writes_nothing(
     bag_file, tmp_path, capsys, monkeypatch, command, config, message
 ):
-    # The value is rejected before any joint fit or trial starts.
+    # The value is rejected before any joint fit, trial or synthetic grid
+    # starts.
     import maxentmil.experiments as experiments
     import maxentmil.mil as mil
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the parameters were checked")
 
-    for module, name in ((cli, "fit_joint"), (mil, "fit_joint"), (experiments, "make_basis")):
+    for module, name in (
+        (cli, "fit_joint"), (mil, "fit_joint"), (experiments, "make_basis"),
+        (experiments, "_box_grid"),
+    ):
         monkeypatch.setattr(module, name, no_work)
     path, _ = bag_file
     positionals = {"fit": [str(path)], "classify": [str(path), str(path)]}

@@ -9,7 +9,6 @@ from maxentmil.experiments import (
     PhaseDiagramSpec,
     densities_from_matrix,
     derive_seed,
-    envelope_features,
     markov_bound_trial,
     phase_cells,
     recovery_threshold,
@@ -91,17 +90,19 @@ class TestRejectionSample:
         np.testing.assert_array_equal(a, b)
         assert ra == rb
 
-    def test_engine_serves_node_features(self, spec2d, grid2d, engine2d, monkeypatch):
-        # On a midpoint grid the envelope features are the engine's node
-        # features; passed in, the samples and the rate are those of the
-        # call without them.
-        from maxentmil.basis import BasisSpec
+    def test_engine_serves_node_features(self, grid2d, monkeypatch):
+        # On a midpoint grid the envelope features are the node features of
+        # the engine just built for (spec, grid): sampling evaluates no node
+        # and draws the samples and the rate of a sampler that evaluates them.
+        from maxentmil.basis import BasisSpec, node_features
 
+        spec = make_basis(2, 8, seed=7)  # fresh: no other test cached it
+        engine = BasisGrid(spec, grid2d)
+        assert node_features(spec, grid2d.envelope_nodes) is engine.phi
         dens = densities_from_matrix(
             LambdaMatrix(data=np.full((8, 1), 0.3), bag_ids=("b",)),
-            spec2d, grid2d, engine=engine2d,
+            spec, grid2d, engine=engine,
         )[0]
-        plain, plain_rate = rejection_sample(dens, spec2d, grid2d, 500, seed=4)
         original = BasisSpec.evaluate
         node_calls = []
 
@@ -110,14 +111,12 @@ class TestRejectionSample:
             return original(self, x)
 
         monkeypatch.setattr(BasisSpec, "evaluate", recording)
-        envelope_phi = envelope_features(spec2d, grid2d, engine2d)
-        assert envelope_phi is engine2d.phi
-        samples, rate = rejection_sample(
-            dens, spec2d, grid2d, 500, seed=4, envelope_phi=envelope_phi
-        )
+        samples, rate = rejection_sample(dens, spec, grid2d, 500, seed=4)
+        assert node_calls and not any(node_calls)
+        monkeypatch.setattr(BasisSpec, "evaluate", original)
+        plain, plain_rate = rejection_sample(dens, make_basis(2, 8, seed=7), grid2d, 500, seed=4)
         np.testing.assert_array_equal(samples, plain)
         assert rate == plain_rate
-        assert node_calls and not any(node_calls)
 
     def test_gauss_grid_draws_the_midpoint_samples(self, spec2d, box2d, rng):
         # A Gauss-Legendre grid takes its envelope on the 64-per-axis
@@ -135,12 +134,13 @@ class TestRejectionSample:
             np.testing.assert_array_equal(a, b)
             assert ra == rb
 
-    def test_columns_evaluate_envelope_once(self, spec2d, monkeypatch):
+    def test_columns_evaluate_envelope_once(self, monkeypatch):
         # Sampling a matrix evaluates the envelope lattice's features once,
         # not once per bag.
         from maxentmil.basis import BasisSpec
         from maxentmil.experiments import synth_bags_from_matrix
 
+        spec2d = make_basis(2, 8, seed=7)  # fresh: no other test cached it
         grid = synth_box_grid()
         original = BasisSpec.evaluate
         lattice_calls = []
@@ -154,6 +154,47 @@ class TestRejectionSample:
         ds = synth_bags_from_matrix(matrix, spec2d, grid, 50, seed=2)
         assert len(ds.bags) == 4
         assert sum(lattice_calls) == 1
+
+    def test_bag_by_bag_evaluates_envelope_once(self, monkeypatch):
+        # Bag after bag with one spec on a Gauss-Legendre grid, the public
+        # sampler evaluates the envelope lattice once, not once per call.
+        from maxentmil.basis import BasisSpec
+
+        spec = make_basis(2, 8, seed=11)  # fresh: no other test cached it
+        grid = synth_box_grid()
+        dens = densities_from_matrix(
+            LambdaMatrix(data=np.full((8, 1), 0.1), bag_ids=("b",)), spec, grid
+        )[0]
+        original = BasisSpec.evaluate
+        lattice_calls = []
+
+        def recording(self, x):
+            lattice_calls.append(x is grid.envelope_nodes)
+            return original(self, x)
+
+        monkeypatch.setattr(BasisSpec, "evaluate", recording)
+        for seed in range(5):
+            rejection_sample(dens, spec, grid, 50, seed=seed)
+        assert sum(lattice_calls) == 1
+
+    def test_density_from_another_basis_rejected(self, spec2d, grid2d, engine2d, monkeypatch):
+        # Same m, another seed: refused, naming both keys, before any
+        # feature is evaluated.
+        from maxentmil.basis import BasisSpec
+
+        dens = densities_from_matrix(
+            LambdaMatrix(data=np.full((8, 1), 0.1), bag_ids=("b",)),
+            spec2d, grid2d, engine=engine2d,
+        )[0]
+        other = make_basis(2, 8, seed=8)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("features evaluated before the basis check")
+
+        monkeypatch.setattr(BasisSpec, "evaluate", no_work)
+        with pytest.raises(ValueError) as err:
+            rejection_sample(dens, other, grid2d, 50, seed=0)
+        assert str(spec2d.key) in str(err.value) and str(other.key) in str(err.value)
 
     def test_degenerate_density_raises(self):
         # A density peaked far below the grid resolution: the envelope
