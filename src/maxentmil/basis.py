@@ -206,16 +206,16 @@ def make_basis(d: int, m: int, seed: int) -> BasisSpec:
     return BasisSpec(d=d, m=m, seed=seed, freqs=freqs)
 
 
-def check_tensor_grid(d: int, points_per_axis: int, max_nodes: int = MAX_GRID_NODES) -> int:
+def check_tensor_grid(d: int, points_per_axis: int) -> int:
     """The node count points_per_axis**d of a tensor grid, checked before
-    any node is built: at least 2 points per axis, at most max_nodes nodes."""
+    any node is built: at least 2 points per axis, MAX_GRID_NODES at most."""
     if points_per_axis < 2:
         raise ValueError(f"grid_points (points per axis) must be >= 2, got {points_per_axis}")
     q = points_per_axis**d
-    if q > max_nodes:
+    if q > MAX_GRID_NODES:
         raise GridBudgetError(
             f"tensor grid needs {points_per_axis}^{d} = {q} nodes, "
-            f"over the budget of {max_nodes}"
+            f"over the budget of {MAX_GRID_NODES}"
         )
     return q
 
@@ -238,12 +238,10 @@ def _mesh(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def make_tensor_grid(
-    domain: Domain, points_per_axis: int, max_nodes: int = MAX_GRID_NODES
-) -> IntegrationGrid:
+def make_tensor_grid(domain: Domain, points_per_axis: int) -> IntegrationGrid:
     """Midpoint-rule tensor grid; every node carries weight volume / Q."""
     d = domain.d
-    q = check_tensor_grid(d, points_per_axis, max_nodes)
+    q = check_tensor_grid(d, points_per_axis)
     axes = [
         domain.lo[j] + (np.arange(points_per_axis) + 0.5) * (domain.hi[j] - domain.lo[j]) / points_per_axis
         for j in range(d)
@@ -269,8 +267,8 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1],
-    read-only; computed once per n, since a phase sweep builds a grid per
-    repetition.
+    read-only; computed once per n, since k-fold classification builds a
+    grid of one size on each fold's own domain.
 
     The nodes are the roots of P_n, found by Newton's method from the
     asymptotic guesses cos(pi (k + 3/4) / (n + 1/2)). numpy's leggauss

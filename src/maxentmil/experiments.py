@@ -350,6 +350,7 @@ def markov_bound_trial(
         raise ValueError("need at least 50 trials")
     # Checks n_bags, m and every a before the first draw.
     radii = {float(a): epsilon_bound(n_bags, m, a) for a in a_values}
+    check_box_features(d, grid_points, m)
     grid = synth_box_grid(3.0, d, grid_points)
     sums = np.empty(trials)
     for trial in range(trials):

@@ -23,6 +23,7 @@ in-probability ceiling, so the constraint needs no tuning.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
@@ -139,20 +140,15 @@ class _JointProblem:
         self.engine = engine
         self.ns = np.array([s.n for s in stats_list], dtype=float)
         self.phi_bars = np.column_stack([s.phi_bar for s in stats_list])
-        self.bag_ids = tuple(s.bag_id for s in stats_list)
         self.kernel_calls = 0
 
     @property
     def n_bags(self) -> int:
         return self.ns.shape[0]
 
-    def nll(self, data: np.ndarray) -> float:
-        """Total scaled negative log-likelihood sum_i n_i (Z_i - l_i.phibar_i)."""
-        self.kernel_calls += 1
-        logz = self.engine.log_partition_many(data)
-        return float(self.ns @ (logz - np.einsum("mi,mi->i", data, self.phi_bars)))
-
     def nll_and_grad(self, data: np.ndarray) -> tuple[float, np.ndarray]:
+        """Total scaled negative log-likelihood sum_i n_i (Z_i - l_i.phibar_i)
+        and its gradient, from one kernel call."""
         self.kernel_calls += 1
         logz, means = self.engine.logz_and_mean_many(data)
         val = float(self.ns @ (logz - np.einsum("mi,mi->i", data, self.phi_bars)))
@@ -228,7 +224,7 @@ def g_and_grad(
     if Lambda.m != eng.m:
         raise ValueError("Lambda row count does not match the basis")
     val, grad = prob.nll_and_grad(Lambda.data)
-    return val - prob.nll(lambda_hat.data), grad
+    return val - prob.nll_and_grad(lambda_hat.data)[0], grad
 
 
 def epsilon_bound(n_bags: int, m: int, a: float) -> float:
@@ -251,11 +247,6 @@ def lipschitz_tau(stats_list: list[SufficientStats], m: int) -> float:
     return float(m * max(s.n for s in stats_list))
 
 
-def _prox(data, grad, tau, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Both solvers' proximal step, shrinking at alpha: (iterate, its spectrum)."""
-    return shrink(data - grad / tau, alpha)
-
-
 def _majorized(g_cand, g_bar, diff, grad_bar, tau) -> bool:
     quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
         np.vdot(diff, diff)
@@ -265,21 +256,22 @@ def _majorized(g_cand, g_bar, diff, grad_bar, tau) -> bool:
 
 def line_search(
     lambda_bar: np.ndarray,
-    z: float,
+    prox,
     tau_prev: float,
     tau_lip: float,
     g_and_grad,
     g_bar: float,
     grad_bar: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray, bool, float, np.ndarray, int]:
-    """One backtracking proximal step from lambda_bar.
+    """One backtracking proximal step from lambda_bar, both solvers' step.
 
     The first probe is optimistic: tau = max(LS_ALPHA * tau_prev,
-    TAU_FLOOR * tau_lip), at most tau_lip. Each probe forms the proximal
-    candidate at tau and evaluates g and its gradient there with one
-    g_and_grad call; the first candidate with L(cand, z) <= Q(cand,
-    lambda_bar) is accepted. A rejected probe grows tau toward tau_lip by
-    a factor that starts at 1/LS_ALPHA and squares each round.
+    TAU_FLOOR * tau_lip), at most tau_lip (tau_lip itself for tau_prev =
+    inf). Each probe forms the candidate prox(lambda_bar - grad_bar / tau,
+    tau) -> (matrix, its singular values) and evaluates g and its gradient
+    there with one g_and_grad call; the first candidate with g(cand) <=
+    Q(cand, lambda_bar) is accepted. A rejected probe grows tau toward
+    tau_lip by a factor that starts at 1/LS_ALPHA and squares each round.
     Backtracking from an optimistic step as in Beck & Teboulle (2009) and
     Scheinberg, Goldfarb & Bai (2014).
 
@@ -294,7 +286,7 @@ def line_search(
     grow = 1.0 / LS_ALPHA
     probes = 0
     while True:
-        cand, s_cand = _prox(lambda_bar, grad_bar, tau, 1.0 / (tau * z))
+        cand, s_cand = prox(lambda_bar - grad_bar / tau, tau)
         g_cand, grad_cand = g_and_grad(cand)
         probes += 1
         ok = _majorized(g_cand, g_bar, cand - lambda_bar, grad_bar, tau)
@@ -330,13 +322,16 @@ def _cmen_inner(
         nll, grad = prob.nll_and_grad(data)
         return nll - nll_hat, grad
 
+    def prox(point, tau):
+        return shrink(point, 1.0 / (tau * z))
+
     cur, s_cur, tau, g_cur, grad_cur = start
     lagr_cur = float(s_cur.sum()) + z * g_cur
     all_ok = True
     probes = 0
     for steps in range(1, max_inner + 1):
         tau, cand, s_cand, ok, g_cand, grad_cand, n = line_search(
-            cur, z, tau, tau_lip, g_of, g_cur, grad_cur
+            cur, prox, tau, tau_lip, g_of, g_cur, grad_cur
         )
         probes += n
         all_ok = all_ok and ok
@@ -452,15 +447,9 @@ def fit_cmen(
             else:
                 z_hi *= 2.0
                 warm_hi = state
-                if z_hi > 1e12:
-                    report.warnings.append("no feasible z found up to 1e12")
-                    break
         else:
-            if bracketed:
-                z_hi, warm_hi = z, state
-            else:
-                bracketed = True
-                warm_hi = state
+            # Unbracketed, z is z_hi already.
+            z_hi, warm_hi, bracketed = z, state, True
     if not converged:
         report.converged = False
         report.warnings.append(
@@ -485,12 +474,13 @@ def fit_rmde(
     """Proximal gradient on the likelihood plus eta * nuclear norm.
 
     Fixed step 1/tau with tau the Lipschitz bound, so every step descends
-    the penalized objective; stops when the iterate displacement (equal to
-    the prox-stationarity residual, by non-expansiveness) is within
-    obj_tol. Each iterate is evaluated once (the likelihood value comes
-    with the gradient of the step taken from it) and decomposed once (the
-    start here, the rest by the shrinkage that makes them); its singular
-    values give both the nuclear norm and the traced rank.
+    the penalized objective: each step is a line_search from tau_prev =
+    inf, whose one probe is at tau. Stops when the iterate displacement
+    (equal to the prox-stationarity residual, by non-expansiveness) is
+    within obj_tol. Each iterate is evaluated once (its probe's likelihood
+    and gradient serve the next step) and decomposed once (the start here,
+    the rest by the shrinkage that makes them); its singular values give
+    both the nuclear norm and the traced rank.
     Without init the start is fit_columns_relaxed's matrix, and its notes
     open the report's warnings.
     """
@@ -507,18 +497,23 @@ def fit_rmde(
         report.objective_trace.append(nll + eta * float(s.sum()))
         report.rank_trace.append(int((s > RANK_TOL).sum()))
 
+    def prox(point, tau):
+        return shrink(point, eta / tau)
+
     data, s = init.data, singular_values(init.data)
+    nll, grad = prob.nll_and_grad(data)
+    trace(nll, s)
     converged = False
     for steps in range(1, cfg.max_inner + 1):
-        nll, grad = prob.nll_and_grad(data)
+        _, cand, s, _, nll, grad, _ = line_search(
+            data, prox, math.inf, tau, prob.nll_and_grad, nll, grad
+        )
         trace(nll, s)
-        cand, s = _prox(data, grad, tau, eta / tau)
         residual = float(np.linalg.norm(cand - data))
         data = cand
         if residual <= cfg.obj_tol:
             converged = True
             break
-    trace(prob.nll(data), s)
     report.inner_iters.append(steps)
     if not converged:
         report.converged = False

@@ -3,6 +3,7 @@ import pytest
 
 from maxentmil.basis import (
     MAX_GAUSS_POINTS,
+    MAX_GRID_NODES,
     BasisSpec,
     Domain,
     check_grid_resolution,
@@ -92,9 +93,17 @@ class TestTensorGrid:
         val = (np.cos(grid.nodes[:, 0]) * grid.weights).sum()
         assert val == pytest.approx(2 * np.sin(3.0), abs=1e-3)
 
-    def test_budget_error_names_limit(self):
-        with pytest.raises(GridBudgetError, match="100"):
-            make_tensor_grid(Domain(lo=[0, 0, 0], hi=[1, 1, 1]), 64, max_nodes=100)
+    def test_budget_error_names_limit(self, monkeypatch):
+        # 200^3 = 8 000 000 nodes, twice MAX_GRID_NODES: refused unbuilt.
+        import maxentmil.basis as basis
+
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("nodes built before the budget was checked")
+
+        monkeypatch.setattr(basis, "_mesh", no_nodes)
+        message = f"8000000 nodes, over the budget of {MAX_GRID_NODES}"
+        with pytest.raises(GridBudgetError, match=message):
+            make_tensor_grid(Domain(lo=[0, 0, 0], hi=[1, 1, 1]), 200)
 
     def test_doubling_reduces_cosine_error(self):
         # Convergence on frequencies up to |g| = 3.

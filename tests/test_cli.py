@@ -635,6 +635,9 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         ("synth", ["--mode", "two-class", "--d", "4"],
          "the 32^4 grid's feature matrix needs 1048576 nodes x 20 features = 20971520 "
          "entries, over the budget of 16777216"),
+        ("bound-check", ["--grid-points", "2000"],
+         "the 2000^2 grid's feature matrix needs 4000000 nodes x 10 features = 40000000 "
+         "entries, over the budget of 16777216"),
     ],
     ids=[
         "fit", "classify", "phase-diagram", "synth", "phase-diagram-odd-m", "bound-check",
@@ -644,7 +647,7 @@ def test_every_option_is_a_resolved_parameter(bag_file, tmp_path, monkeypatch):
         "phase-diagram-domain_halfwidth-flag", "phase-diagram-d-flag",
         "phase-diagram-grid-budget-flag", "phase-diagram-feature-budget-flag",
         "phase-diagram-t-zero-flag", "synth-within-flag", "synth-feature-budget-flag",
-        "synth-two-class-feature-budget-flag",
+        "synth-two-class-feature-budget-flag", "bound-check-feature-budget-flag",
     ],
 )
 def test_bad_parameter_writes_nothing(

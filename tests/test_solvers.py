@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -12,7 +13,7 @@ from maxentmil.experiments import (
     rejection_sample,
     synth_lowrank_lambda,
 )
-from maxentmil.lowrank import nuclear_norm, numeric_rank, soft_threshold
+from maxentmil.lowrank import nuclear_norm, numeric_rank, shrink, soft_threshold
 from maxentmil.maxent import (
     BasisGrid,
     NewtonConfig,
@@ -40,6 +41,11 @@ from maxentmil.solvers import (
 )
 
 NEWTON = NewtonConfig(grad_tol=1e-6)
+
+
+def soft(z):
+    """fit_cmen's prox at dual multiplier z: shrinkage at 1/(tau*z)."""
+    return lambda point, tau: shrink(point, 1.0 / (tau * z))
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +113,7 @@ class TestFitMde:
             for i, s in enumerate(stats)
         )
         prob = solvers_mod._JointProblem(engine2d_mod, stats)
-        assert prob.nll(hat.data) == pytest.approx(total, abs=1e-10)
+        assert prob.nll_and_grad(hat.data)[0] == pytest.approx(total, abs=1e-10)
 
     def test_aggregated_failure_lists_bags(self, small_problem, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
         from maxentmil.errors import ConvergenceError
@@ -282,24 +288,35 @@ class TestBounds:
 
 
 class TestProxStep:
-    """solvers._prox, both solvers' step: a gradient move by 1/tau, then
-    singular-value shrinkage at 1/(tau*z)."""
+    """line_search's candidate, both solvers' step: a gradient move by
+    1/tau, then the prox; from tau_prev = inf its one probe is at tau_lip."""
+
+    @staticmethod
+    def step(bar, grad, z, tau):
+        def flat(y):
+            return 0.0, np.zeros_like(y)
+
+        tau_out, out, _, _, _, _, probes = line_search(
+            bar, soft(z), math.inf, tau, flat, 0.0, grad
+        )
+        assert probes == 1 and tau_out == tau
+        return out
 
     def test_zero_gradient_huge_z_is_identity(self, hat_and_stats):
         hat, _ = hat_and_stats
-        out, _ = solvers_mod._prox(hat.data, np.zeros(hat.data.shape), 100.0, 1.0 / (100.0 * 1e12))
+        out = self.step(hat.data, np.zeros(hat.data.shape), 1e12, 100.0)
         np.testing.assert_allclose(out, hat.data, atol=1e-8)
 
     def test_zero_gradient_tiny_z_zeroes(self, hat_and_stats):
         hat, _ = hat_and_stats
-        out, _ = solvers_mod._prox(hat.data, np.zeros(hat.data.shape), 1.0, 1.0 / 1e-12)
+        out = self.step(hat.data, np.zeros(hat.data.shape), 1e-12, 1.0)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_composition_of_cited_formulas(self, hat_and_stats, rng):
         hat, _ = hat_and_stats
         grad = rng.standard_normal(hat.data.shape)
         z, tau = 0.7, 3.0
-        out, _ = solvers_mod._prox(hat.data, grad, tau, 1.0 / (tau * z))
+        out = self.step(hat.data, grad, z, tau)
         expected = soft_threshold(hat.data - grad / tau, 1.0 / (tau * z))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -325,7 +342,7 @@ class TestLineSearch:
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         tau_prev = 0.9 * curv / LS_ALPHA
         tau, _, _, ok, _, _, probes = line_search(
-            bar, 1.0, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
+            bar, soft(1.0), tau_prev, 100.0, g_and_grad, g_bar, grad_bar
         )
         assert ok and probes == 2
         assert curv <= tau <= curv / LS_ALPHA + 1e-9
@@ -336,7 +353,7 @@ class TestLineSearch:
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         for start in (curv, 8.0):
             tau, _, _, ok, _, _, probes = line_search(
-                bar, 1.0, start / LS_ALPHA, 100.0, g_and_grad, g_bar, grad_bar
+                bar, soft(1.0), start / LS_ALPHA, 100.0, g_and_grad, g_bar, grad_bar
             )
             assert ok and probes == 1 and tau == pytest.approx(start)
 
@@ -345,7 +362,7 @@ class TestLineSearch:
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         for tau_prev in (1e-3, 0.5, 10.0):
             tau, cand, _, ok, g_cand, _, _ = line_search(
-                bar, 0.5, tau_prev, 100.0, g_and_grad, g_bar, grad_bar
+                bar, soft(0.5), tau_prev, 100.0, g_and_grad, g_bar, grad_bar
             )
             diff = cand - bar
             quad = g_bar + float(np.vdot(diff, grad_bar)) + 0.5 * tau * float(
@@ -364,7 +381,7 @@ class TestLineSearch:
 
         for tau_prev, expected in ((1e-9, TAU_FLOOR * tau_lip), (1e9, tau_lip)):
             tau, _, _, ok, _, _, probes = line_search(
-                bar, 1.0, tau_prev, tau_lip, flat, 0.0, np.zeros_like(bar)
+                bar, soft(1.0), tau_prev, tau_lip, flat, 0.0, np.zeros_like(bar)
             )
             assert ok and probes == 1 and tau == expected
 
@@ -379,7 +396,7 @@ class TestLineSearch:
         tau_lip = lipschitz_tau(stats, 8)
         for tau_prev in (TAU_FLOOR * tau_lip, 0.1 * tau_lip):
             _, cand, s_cand, ok, g_cand, grad_cand, _ = line_search(
-                bar, 0.5, tau_prev, tau_lip, prob.nll_and_grad, g_bar, grad_bar
+                bar, soft(0.5), tau_prev, tau_lip, prob.nll_and_grad, g_bar, grad_bar
             )
             g_ref, grad_ref = prob.nll_and_grad(cand)
             assert ok
@@ -393,12 +410,14 @@ class TestLineSearch:
         curv = 5.0
         bar, g_and_grad, g_bar, grad_bar = self.setup_quadratic(rng, curv)
         # tau_lip below the curvature: every probe fails, the last at tau_lip.
-        tau, _, _, ok, _, _, _ = line_search(bar, 1.0, 1e-6, 4.0, g_and_grad, g_bar, grad_bar)
+        tau, _, _, ok, _, _, _ = line_search(
+            bar, soft(1.0), 1e-6, 4.0, g_and_grad, g_bar, grad_bar
+        )
         assert not ok and tau == 4.0
         # tau_lip at or above it: growth from the floor always ends accepted.
         for tau_lip in (curv, 50.0, 5e4):
             tau, _, _, ok, _, _, _ = line_search(
-                bar, 1.0, 1e-6, tau_lip, g_and_grad, g_bar, grad_bar
+                bar, soft(1.0), 1e-6, tau_lip, g_and_grad, g_bar, grad_bar
             )
             assert ok and curv <= tau <= tau_lip
 
@@ -585,8 +604,8 @@ class TestFitRmde:
         assert np.linalg.norm(step - sol.data) <= cfg.obj_tol
 
     def test_one_kernel_call_per_iterate(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
-        # Each iterate's likelihood comes with the gradient of the step
-        # taken from it; only the last iterate needs a call of its own.
+        # Each candidate's likelihood and gradient come from its probe and
+        # serve the next step; only the start needs a call of its own.
         hat, stats = hat_and_stats
         calls = []
         for name in ("log_partition_many", "logz_and_mean_many"):
@@ -602,6 +621,27 @@ class TestFitRmde:
         )
         assert len(calls) == report.inner_iters[0] + 1
         assert len(report.objective_trace) == len(report.rank_trace) == report.inner_iters[0] + 1
+
+    def test_rmde_steps_through_line_search(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+        # Every step is one line_search from tau_prev = inf: a single probe
+        # at the Lipschitz bound, returned as is (the fixed 1/tau_lip step).
+        hat, stats = hat_and_stats
+        steps = []
+        original = solvers_mod.line_search
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            steps.append((args[2], args[3], out[0], out[6]))
+            return out
+
+        monkeypatch.setattr(solvers_mod, "line_search", recording)
+        # At eta 20 the solve takes dozens of steps.
+        _, report = fit_rmde(
+            stats, spec2d_mod, grid2d_mod, 20.0, newton=NEWTON, engine=engine2d_mod, init=hat
+        )
+        tau_lip = lipschitz_tau(stats, 8)
+        assert len(steps) == report.inner_iters[0] > 1
+        assert set(steps) == {(math.inf, tau_lip, tau_lip, 1)}
 
     def test_eta_validation(self, hat_and_stats, spec2d_mod, grid2d_mod):
         _, stats = hat_and_stats
