@@ -74,7 +74,6 @@ from .mil import (
     PcaModel,
     PipelineConfig,
     avg_hausdorff,
-    distance_matrix,
     kde_fit,
     kfold_evaluate,
     pca_apply,

@@ -126,6 +126,11 @@ def densities_from_matrix(
     return densities_from_columns(matrix.data, matrix.bag_ids, spec, grid, engine)
 
 
+# Candidates rejection_sample evaluates at a time, in proposal order: it
+# stops at the block that holds the n-th acceptance.
+_SAMPLE_BLOCK = 256
+
+
 def rejection_sample(
     density: MEDensity, spec, grid: IntegrationGrid, n: int, seed: int
 ) -> tuple[np.ndarray, float]:
@@ -135,10 +140,15 @@ def rejection_sample(
     The envelope is 1.1x the largest unnormalized density over the grid's
     envelope nodes; the 10% headroom covers peaks falling between nodes.
     Their features come from basis.node_features, evaluated once for a run
-    of bags with one spec. Returns the samples and the realized acceptance
-    rate. Raises ValueError for a density of another basis, and
-    DegenerateDensityError if acceptance stays under 1e-4 on the probe
-    batch (density too peaked for the grid resolution).
+    of bags with one spec. Proposals and their uniforms are drawn a chunk
+    of max(4n, 4096) at a time, which fixes the RNG stream; the candidates
+    are then evaluated and tested block by block, in order, up to the n-th
+    acceptance, so the samples are the first n accepted candidates of that
+    stream whatever the block size. Returns the samples and the acceptance
+    rate, accepted over examined candidates (n over the position of the
+    n-th acceptance). Raises ValueError for a density of another basis,
+    and DegenerateDensityError if acceptance stays under 1e-4 on the probe
+    batch of whole chunks (density too peaked for the grid resolution).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -152,23 +162,27 @@ def rejection_sample(
     probe = max(50_000, 10 * n)
     accepted: list[np.ndarray] = []
     n_kept = 0
-    n_proposed = 0
-    while n_kept < n:
+    n_examined = 0
+    while True:
         props = rng.uniform(domain.lo, domain.hi, size=(chunk, domain.d))
-        logp = spec.evaluate(props) @ density.lam
         u = rng.uniform(size=chunk)
-        keep = np.log(u) <= logp - log_env
-        n_proposed += chunk
-        n_kept += int(keep.sum())
-        accepted.append(props[keep])
-        if n_kept < n and n_proposed >= probe and n_kept / n_proposed < 1e-4:
+        for start in range(0, chunk, _SAMPLE_BLOCK):
+            block = props[start : start + _SAMPLE_BLOCK]
+            log_u = np.log(u[start : start + _SAMPLE_BLOCK])
+            keep = np.flatnonzero(log_u <= spec.evaluate(block) @ density.lam - log_env)
+            if n_kept + keep.size >= n:
+                keep = keep[: n - n_kept]
+                accepted.append(block[keep])
+                return np.concatenate(accepted, axis=0), n / (n_examined + int(keep[-1]) + 1)
+            n_kept += keep.size
+            n_examined += block.shape[0]
+            accepted.append(block[keep])
+        if n_examined >= probe and n_kept / n_examined < 1e-4:
             raise DegenerateDensityError(
-                f"acceptance rate {n_kept / n_proposed:.2e} after "
-                f"{n_proposed} proposals; envelope too loose or density too "
+                f"acceptance rate {n_kept / n_examined:.2e} after "
+                f"{n_examined} proposals; envelope too loose or density too "
                 "peaked for the grid resolution"
             )
-    samples = np.concatenate(accepted, axis=0)[:n]
-    return samples, n_kept / n_proposed
 
 
 def recovery_threshold(true_matrices: list[LambdaMatrix]) -> float:

@@ -308,11 +308,6 @@ def sym_kl_matrix(densities: list[MEDensity]) -> np.ndarray:
     return _pairwise(densities, sym_kl)
 
 
-def distance_matrix(items, kind: str, grid=None) -> np.ndarray:
-    """Pairwise bag distances under the metric of kind (see _bag_metric)."""
-    return _pairwise(*_bag_metric(items, kind, grid))
-
-
 @dataclass(frozen=True)
 class CitationKnnConfig:
     k: int = 5

@@ -55,6 +55,64 @@ class TestSynthLowrank:
             synth_lowrank_lambda(4, 3, 5, seed=0)
 
 
+def whole_chunk_sample(density, spec, grid, n, seed):
+    """The sampler as it was before candidates were evaluated block by
+    block: every chunk's features evaluated at once. Returns the samples
+    and the accept flag of every candidate drawn."""
+    from maxentmil.basis import node_features
+
+    domain = grid.domain
+    phi = node_features(spec, grid.envelope_nodes)
+    log_env = np.log(1.1) + float((phi @ density.lam).max())
+    rng = np.random.default_rng(seed)
+    chunk = max(4 * n, 4096)
+    accepted, flags = [], []
+    n_kept = 0
+    while n_kept < n:
+        props = rng.uniform(domain.lo, domain.hi, size=(chunk, domain.d))
+        logp = spec.evaluate(props) @ density.lam
+        u = rng.uniform(size=chunk)
+        keep = np.log(u) <= logp - log_env
+        n_kept += int(keep.sum())
+        accepted.append(props[keep])
+        flags.append(keep)
+    return np.concatenate(accepted, axis=0)[:n], np.concatenate(flags)
+
+
+def assert_matches_whole_chunks(density, spec, grid, n, seed):
+    """rejection_sample returns the whole-chunk sampler's samples and a rate
+    of n over the position of the n-th acceptance; returns the accept flags."""
+    samples, rate = rejection_sample(density, spec, grid, n, seed=seed)
+    ref, flags = whole_chunk_sample(density, spec, grid, n, seed)
+    np.testing.assert_array_equal(samples, ref)
+    assert rate == len(samples) / (int(np.flatnonzero(flags)[n - 1]) + 1)
+    return flags
+
+
+def peaky_density():
+    """A density peaked far below the grid resolution, with its grid: the
+    envelope misses the spike and acceptance collapses under 1e-4."""
+    from maxentmil.basis import BasisSpec, Domain, make_tensor_grid
+
+    spec = BasisSpec(d=1, m=2, seed=0, freqs=np.array([[3.0]]))
+    grid = make_tensor_grid(Domain(lo=[-3.0], hi=[3.0]), 65536)
+    engine = BasisGrid(spec, grid)
+    lam = np.array([0.0, 1e7])
+    dens = MEDensity(
+        bag_id="peaky", lam=lam, logZ=engine.log_partition(lam),
+        mean_phi=np.clip(engine.moments(lam)[1], -1, 1), basis_key=spec.key,
+    )
+    return dens, spec, grid
+
+
+def bound_check_densities(k):
+    """Trial k's densities at bound-check's settings (m = 10, 5 bags on the
+    64-per-axis midpoint grid), with their spec."""
+    spec = make_basis(2, 10, derive_seed(0, k, "basis"))
+    truth = synth_lowrank_lambda(10, 5, 5, derive_seed(0, k, "lambda"))
+    return densities_from_matrix(truth, spec, synth_box_grid(3.0, 2, 64)), spec
+
+
 class TestRejectionSample:
     def test_uniform_case(self, spec2d, grid2d, engine2d):
         dens = densities_from_matrix(
@@ -197,20 +255,63 @@ class TestRejectionSample:
         assert str(spec2d.key) in str(err.value) and str(other.key) in str(err.value)
 
     def test_degenerate_density_raises(self):
-        # A density peaked far below the grid resolution: the envelope
-        # misses the spike and acceptance collapses under 1e-4.
-        from maxentmil.basis import BasisSpec, Domain, make_tensor_grid
-
-        spec = BasisSpec(d=1, m=2, seed=0, freqs=np.array([[3.0]]))
-        grid = make_tensor_grid(Domain(lo=[-3.0], hi=[3.0]), 65536)
-        engine = BasisGrid(spec, grid)
-        lam = np.array([0.0, 1e7])
-        dens = MEDensity(
-            bag_id="peaky", lam=lam, logZ=engine.log_partition(lam),
-            mean_phi=np.clip(engine.moments(lam)[1], -1, 1), basis_key=spec.key,
-        )
-        with pytest.raises(DegenerateDensityError):
+        # Raised after whole chunks, as the whole-chunk sampler raised:
+        # 13 chunks of 4096, the first count over the 50 000 probe.
+        dens, spec, grid = peaky_density()
+        with pytest.raises(DegenerateDensityError) as err:
             rejection_sample(dens, spec, grid, 100, seed=0)
+        assert "after 53248 proposals" in str(err.value)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.8, 2.5])
+    def test_same_samples_as_whole_chunks(self, spec2d, grid2d, engine2d, scale):
+        # Block-by-block evaluation keeps the chunk's RNG stream, so it
+        # returns the first n accepted candidates of the whole-chunk
+        # sampler, for n below, across and off a block boundary.
+        lam = scale * np.random.default_rng(5).uniform(-1.0, 1.0, 8)
+        dens = densities_from_matrix(
+            LambdaMatrix(data=lam[:, None], bag_ids=("b",)),
+            spec2d, grid2d, engine=engine2d,
+        )[0]
+        for n in (1, 200, 300, 1000, 5000):
+            for seed in range(3):
+                assert_matches_whole_chunks(dens, spec2d, grid2d, n, seed)
+
+    def test_second_chunk_same_samples(self, spec2d, grid2d, engine2d):
+        # Acceptance under n / chunk: the n-th acceptance lies in a later
+        # chunk, and the samples still match the whole-chunk sampler's.
+        lam = 6.0 * np.random.default_rng(5).uniform(-1.0, 1.0, 8)
+        dens = densities_from_matrix(
+            LambdaMatrix(data=lam[:, None], bag_ids=("b",)),
+            spec2d, grid2d, engine=engine2d,
+        )[0]
+        flags = assert_matches_whole_chunks(dens, spec2d, grid2d, 1500, 0)
+        assert flags.size > max(4 * 1500, 4096)
+
+    def test_bound_check_evaluates_under_one_chunk(self, monkeypatch):
+        # At bound-check's settings (m = 10, n = 200) the candidates whose
+        # features are evaluated stay under one 4096-row chunk, within one
+        # block of the candidates examined (n over the rate).
+        from maxentmil.basis import BasisSpec
+        from maxentmil.experiments import _SAMPLE_BLOCK
+
+        grid = synth_box_grid(3.0, 2, 64)
+        original = BasisSpec.evaluate
+        rows = []
+
+        def counting(self, x):
+            if x is not grid.envelope_nodes:
+                rows.append(x.shape[0])
+            return original(self, x)
+
+        monkeypatch.setattr(BasisSpec, "evaluate", counting)
+        for k in range(4):
+            densities, spec = bound_check_densities(k)
+            for i, dens in enumerate(densities):
+                rows.clear()
+                _, rate = rejection_sample(dens, spec, grid, 200, seed=i)
+                examined = round(200 / rate)
+                assert sum(rows) < 4096
+                assert 0 <= sum(rows) - examined < _SAMPLE_BLOCK
 
     def test_moment_error_scales_as_root_n(self, spec2d, grid2d, engine2d):
         rng = np.random.default_rng(1)

@@ -10,9 +10,10 @@ from maxentmil.mil import (
     CitationKnnConfig,
     LabeledBagDataset,
     PipelineConfig,
+    _bag_metric,
+    _pairwise,
     avg_hausdorff,
     citation_knn_precomputed,
-    distance_matrix,
     kde_fit,
     kfold_evaluate,
     pca_apply,
@@ -30,8 +31,8 @@ def hausdorff_vote(items, labels, query, cfg, ids=None):
     """citation-kNN of one query bag over instance arrays: the training
     matrix, then the query's row with the query as first argument."""
     ids = [f"{i:06d}" for i in range(len(items))] if ids is None else ids
-    d_train = distance_matrix(items, "hausdorff")
-    d_query = distance_matrix([query, *items], "hausdorff")[0, 1:]
+    d_train = _pairwise(*_bag_metric(items, "hausdorff"))
+    d_query = _pairwise(*_bag_metric([query, *items], "hausdorff"))[0, 1:]
     return citation_knn_precomputed(d_train, d_query, labels, ids, cfg)
 
 
@@ -150,15 +151,16 @@ class TestKde:
 
     def test_self_divergence_zero(self, grid2d, rng):
         model = kde_fit(rng.uniform(-2, 2, (50, 2)))
-        assert abs(distance_matrix([model, model], "kl-kde", grid=grid2d)[0, 1]) <= 1e-8
+        d = _pairwise(*_bag_metric([model, model], "kl-kde", grid=grid2d))
+        assert abs(d[0, 1]) <= 1e-8
 
     def test_symmetry_and_positivity(self, grid2d, rng):
         f = kde_fit(rng.uniform(-2, 0, (40, 2)))
         g = kde_fit(rng.uniform(0, 2, (40, 2)))
-        d = distance_matrix([f, g], "kl-kde", grid=grid2d)[0, 1]
+        d = _pairwise(*_bag_metric([f, g], "kl-kde", grid=grid2d))[0, 1]
         assert d > 0
         assert d == pytest.approx(
-            distance_matrix([g, f], "kl-kde", grid=grid2d)[0, 1], abs=1e-10
+            _pairwise(*_bag_metric([g, f], "kl-kde", grid=grid2d))[0, 1], abs=1e-10
         )
 
     def test_bandwidth_rate(self, rng):
@@ -176,19 +178,19 @@ class TestKde:
 class TestDistanceMatrix:
     def test_zero_diagonal_and_symmetry(self, rng):
         bags = [rng.standard_normal((10, 2)) for _ in range(4)]
-        d = distance_matrix(bags, "hausdorff")
+        d = _pairwise(*_bag_metric(bags, "hausdorff"))
         np.testing.assert_array_equal(np.diag(d), 0.0)
         np.testing.assert_array_equal(d, d.T)
         assert (np.isfinite(d) & (d >= 0)).all()
 
     def test_identical_bags_entry_zero(self, rng):
         a = rng.standard_normal((10, 2))
-        d = distance_matrix([a, a.copy()], "hausdorff")
+        d = _pairwise(*_bag_metric([a, a.copy()], "hausdorff"))
         assert d[0, 1] == pytest.approx(0.0)
 
     def test_elementwise_definition(self, rng):
         bags = [rng.standard_normal((8, 2)) for _ in range(3)]
-        d = distance_matrix(bags, "hausdorff")
+        d = _pairwise(*_bag_metric(bags, "hausdorff"))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert d[i, j] == d[j, i] == avg_hausdorff(bags[i], bags[j])
@@ -196,11 +198,11 @@ class TestDistanceMatrix:
     def test_kind_validation(self, rng):
         bags = [rng.standard_normal((5, 2))]
         with pytest.raises(ValueError):
-            distance_matrix(bags, "kl-cmen")
+            _pairwise(*_bag_metric(bags, "kl-cmen"))
         with pytest.raises(ValueError):
-            distance_matrix(bags, "nope")
+            _pairwise(*_bag_metric(bags, "nope"))
         with pytest.raises(ValueError):
-            distance_matrix([kde_fit(b) for b in bags], "kl-kde", grid=None)
+            _pairwise(*_bag_metric([kde_fit(b) for b in bags], "kl-kde", grid=None))
 
 
 class TestCitationKnn:
@@ -352,7 +354,7 @@ class TestKfold:
 
     @pytest.mark.parametrize("distance", DISTANCES)
     def test_split_votes_over_distance_matrix(self, rng, distance):
-        # evaluate_split is distance_matrix over the training items plus one
+        # evaluate_split is the pairwise matrix over the training items plus one
         # query row per test bag, voted by citation_knn_precomputed.
         ds = tiny_dataset(rng, n_a=4, n_b=4, n_inst=30)
         train, test = ds.subset([0, 1, 2, 4, 5, 6]), ds.subset([3, 7])
@@ -370,8 +372,8 @@ class TestKfold:
 
 
 def expected_split_records(train, test, cfg):
-    """evaluate_split's records rebuilt from the public pieces: training-fitted
-    standardization, one item per bag, distance_matrix and the vote."""
+    """evaluate_split's records rebuilt from its pieces: training-fitted
+    standardization, one item per bag, the pairwise matrices and the vote."""
     std = standardize_fit(train.pooled_instances())
     train, test = standardize_apply(std, train), standardize_apply(std, test)
     domain = domain_from_data(train.pooled_instances(), cfg.margin)
@@ -398,10 +400,11 @@ def expected_split_records(train, test, cfg):
             )[0]
             for b in test.bags
         ]
-    d_train = distance_matrix(train_items, cfg.distance, grid=grid)
+    d_train = _pairwise(*_bag_metric(train_items, cfg.distance, grid=grid))
     records = []
     for tb, query in zip(test.bags, test_items):
-        d_query = distance_matrix([query, *train_items], cfg.distance, grid=grid)[0, 1:]
+        d_query = _pairwise(*_bag_metric([query, *train_items], cfg.distance, grid=grid))
+        d_query = d_query[0, 1:]
         pred = citation_knn_precomputed(
             d_train, d_query, list(train.labels), list(train.bag_ids), cfg.knn
         )
