@@ -25,8 +25,6 @@ from .maxent import (
     fit_sde,
     fit_sde_relaxed,
     kl,
-    sde_grad_hess,
-    sde_objective,
     suff_stats,
     sym_kl,
 )

@@ -160,6 +160,12 @@ class IntegrationGrid:
         return self.nodes.shape[0]
 
     @cached_property
+    def log_weights(self) -> np.ndarray:
+        """log(weights), read-only, computed once per grid: every engine on
+        a shared grid reads this one array."""
+        return _readonly(np.log(self.weights))
+
+    @cached_property
     def envelope_nodes(self) -> np.ndarray:
         """The nodes rejection sampling takes its envelope over, built once
         per grid: the grid's own nodes, except for a Gauss-Legendre grid.

@@ -122,35 +122,66 @@ def _workspace(n: int, q: int) -> np.ndarray:
     return work
 
 
+class ExpPass:
+    """One batched kernel pass (BasisGrid.exp_pass): the per-column logZ,
+    read at once, and the feature means, formed on demand from the pass's
+    exponentials.
+
+    Those exponentials live in the thread's workspace only until the next
+    kernel pass on the thread overwrites it, so means() checks the pass is
+    still the thread's latest and raises RuntimeError otherwise, never
+    returning another pass's means.
+    """
+
+    __slots__ = ("logz", "_phi", "_e", "_totals", "_ticket")
+
+    def __init__(self, logz: np.ndarray, phi: np.ndarray, e: np.ndarray, totals: np.ndarray):
+        self.logz = logz  # (N,)
+        self._phi, self._e, self._totals = phi, e, totals
+        self._ticket = _scratch.ticket
+
+    def means(self) -> np.ndarray:
+        """(m, N) feature means; the unnormalized means are divided by the
+        totals, not the (N, Q) weights."""
+        if getattr(_scratch, "ticket", None) is not self._ticket:
+            raise RuntimeError(
+                "a later kernel pass on this thread overwrote this pass's exponentials"
+            )
+        means = self._phi.T @ self._e.T
+        means /= self._totals
+        return means
+
+
 class BasisGrid:
     """Feature matrix evaluated on a grid, with batched density operations.
 
     Building the (Q, m) feature matrix dominates the cost of a single
     density query, so solvers construct one BasisGrid and reuse it for
     every bag and every iteration. phi is read-only (basis.node_features):
-    a midpoint grid's rejection envelope reuses it.
+    a midpoint grid's rejection envelope reuses it; logw is the grid's own
+    read-only log_weights.
 
-    The kernels (log_partition_many, logz_and_mean_many, and log_partition
-    and node_probs as their one-column case) compute node-major, in a
-    reusable (N, Q) workspace (see _workspace): each bag's scores fill one
-    contiguous row, so its max and sum run along that row. phi stays (Q, m);
-    the products read its transpose as a view. The kernels return fresh
-    arrays that never alias the workspace.
+    The kernels (exp_pass, and node_probs as its one-column case) compute
+    node-major, in a reusable (N, Q) workspace (see _workspace): each bag's
+    scores fill one contiguous row, so its max and sum run along that row.
+    phi stays (Q, m); the products read its transpose as a view. One pass
+    yields logZ; what else a caller reads it pays for separately: the
+    feature means of a batched pass (ExpPass.means), and the feature mean
+    (feature_mean) and covariance (feature_cov) of one density's node
+    probabilities. log_partition_many, logz_and_mean_many and moments
+    bundle them. Every result is a fresh array that never aliases the
+    workspace.
     """
 
     def __init__(self, spec, grid: IntegrationGrid):
         self.spec = spec
         self.grid = grid
         self.phi = node_features(spec, grid.nodes)  # (Q, m)
-        self.logw = np.log(grid.weights)  # (Q,)
+        self.logw = grid.log_weights  # (Q,)
 
     @property
     def m(self) -> int:
         return self.phi.shape[1]
-
-    def log_partition(self, lam: np.ndarray) -> float:
-        e, shift = self._shifted_exp(lam[:, None])
-        return float(shift[0] + np.log(e[0].sum()))
 
     def node_probs(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """logZ and the node probabilities w_q * exp(lam.phi_q - logZ)."""
@@ -158,19 +189,29 @@ class BasisGrid:
         total = e[0].sum()
         return float(shift[0] + np.log(total)), e[0] / total
 
+    def feature_mean(self, probs: np.ndarray) -> np.ndarray:
+        """Feature mean under the node probabilities probs."""
+        return self.phi.T @ probs
+
+    def feature_cov(self, probs: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """Feature covariance under the node probabilities probs, whose
+        feature mean is mean."""
+        second = (self.phi * probs[:, None]).T @ self.phi
+        cov = second - np.outer(mean, mean)
+        return 0.5 * (cov + cov.T)
+
     def moments(self, lam: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """logZ, feature mean and feature covariance under the density."""
         logz, probs = self.node_probs(lam)
-        mean = self.phi.T @ probs
-        second = (self.phi * probs[:, None]).T @ self.phi
-        cov = second - np.outer(mean, mean)
-        cov = 0.5 * (cov + cov.T)
-        return logz, mean, cov
+        mean = self.feature_mean(probs)
+        return logz, mean, self.feature_cov(probs, mean)
 
     def _shifted_exp(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp(scores - shift) per bag row, in the (N, Q) workspace, and the
-        (N,) shift."""
+        (N,) shift. Each call is a new pass: it retires every earlier
+        ExpPass of the thread."""
         e = _workspace(lambdas.shape[1], self.phi.shape[0])
+        _scratch.ticket = object()
         np.matmul(lambdas.T, self.phi.T, out=e)
         e += self.logw
         shift = e.max(axis=1)
@@ -178,25 +219,67 @@ class BasisGrid:
         np.exp(e, out=e)
         return e, shift
 
-    def log_partition_many(self, lambdas: np.ndarray) -> np.ndarray:
-        """logZ per column of an (m, N) parameter matrix."""
-        e, shift = self._shifted_exp(lambdas)
-        return shift + np.log(e.sum(axis=1))
-
-    def logz_and_mean_many(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column logZ (N,) and feature means (m, N); the unnormalized
-        (m, N) means are divided by the totals, not the (N, Q) weights."""
+    def exp_pass(self, lambdas: np.ndarray) -> ExpPass:
+        """One kernel pass over an (m, N) parameter matrix: logZ per column
+        now, the feature means on demand while the pass is the thread's
+        latest."""
         e, shift = self._shifted_exp(lambdas)
         totals = e.sum(axis=1)
-        logz = shift + np.log(totals)
-        means = self.phi.T @ e.T
-        means /= totals
-        return logz, means
+        return ExpPass(shift + np.log(totals), self.phi, e, totals)
+
+    def log_partition_many(self, lambdas: np.ndarray) -> np.ndarray:
+        """logZ per column of an (m, N) parameter matrix."""
+        return self.exp_pass(lambdas).logz
+
+    def logz_and_mean_many(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column logZ (N,) and feature means (m, N), from one pass."""
+        kernel_pass = self.exp_pass(lambdas)
+        return kernel_pass.logz, kernel_pass.means()
+
+
+def _grid_label(grid: IntegrationGrid) -> str:
+    return f"{grid.kind} grid of {grid.size} nodes on [{grid.domain.lo}, {grid.domain.hi}]"
 
 
 def as_engine(spec, grid, engine: BasisGrid | None) -> BasisGrid:
-    """The shared engine when one is passed, else a fresh one for (spec, grid)."""
-    return engine if engine is not None else BasisGrid(spec, grid)
+    """The shared engine when one is passed, else a fresh one for (spec, grid).
+
+    A passed engine must be one for (spec, grid): raises ValueError naming
+    both when its basis key differs from spec's, or its grid's nodes or
+    weights differ from grid's, since the fit would run on the engine's
+    features and be labelled with spec's key.
+    """
+    if engine is None:
+        return BasisGrid(spec, grid)
+    if engine.spec.key != spec.key:
+        raise ValueError(
+            f"the engine evaluates basis {engine.spec.key}, not the basis passed, {spec.key}"
+        )
+    other = engine.grid
+    if other is not grid and not (
+        np.array_equal(other.nodes, grid.nodes) and np.array_equal(other.weights, grid.weights)
+    ):
+        raise ValueError(
+            f"the engine's grid ({_grid_label(other)}) differs from the grid passed "
+            f"({_grid_label(grid)})"
+        )
+    return engine
+
+
+def _uniform_start(eng: BasisGrid) -> tuple[float, np.ndarray, np.ndarray]:
+    """logZ, feature mean and covariance at lam = 0 on eng, read-only.
+
+    Every bag fitted on an engine starts there, so each thread keeps its
+    last engine's, keyed by identity (the entry's reference keeps the id
+    alive). Per thread, not on the engine, for the reason _workspace gives.
+    """
+    last = getattr(_scratch, "start", None)
+    if last is None or last[0] is not eng:
+        logz, mean, cov = eng.moments(np.zeros(eng.m))
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        last = _scratch.start = (eng, logz, mean, cov)
+    return last[1], last[2], last[3]
 
 
 def suff_stats(bag: np.ndarray, spec: BasisSpec, bag_id: str) -> SufficientStats:
@@ -210,25 +293,6 @@ def suff_stats(bag: np.ndarray, spec: BasisSpec, bag_id: str) -> SufficientStats
         raise ValueError("bag must be a nonempty (n, d) matrix")
     features = spec.evaluate(bag)
     return SufficientStats(bag_id=bag_id, n=bag.shape[0], phi_bar=features.mean(axis=0))
-
-
-def sde_objective(lam, stats: SufficientStats, spec, grid, engine=None) -> float:
-    """Scaled negative log-likelihood n * (logZ(lam) - lam . phi_bar)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[0] != stats.m:
-        raise ValueError(f"lam has {lam.shape[0]} entries, stats expect {stats.m}")
-    eng = as_engine(spec, grid, engine)
-    return stats.n * (eng.log_partition(lam) - float(lam @ stats.phi_bar))
-
-
-def sde_grad_hess(lam, stats: SufficientStats, spec, grid, engine=None):
-    """Gradient n*(E_p[phi] - phi_bar) and Hessian n*Cov_p[phi] of the
-    objective; the Hessian is positive semidefinite."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[0] != stats.m:
-        raise ValueError(f"lam has {lam.shape[0]} entries, stats expect {stats.m}")
-    _, mean, cov = as_engine(spec, grid, engine).moments(lam)
-    return stats.n * (mean - stats.phi_bar), stats.n * cov
 
 
 def fit_sde(
@@ -247,6 +311,14 @@ def fit_sde(
     grad_tol / n. When a `history` list is passed, the objective value of
     every iterate is appended to it.
 
+    Each evaluation computes only what the next test reads. A trial point
+    of the backtracking costs one node pass (node_probs: the Armijo test
+    reads only logZ); the accepted point's feature mean (its gradient) is
+    formed from that pass's probabilities, and its covariance only when
+    another Newton step follows, so the final iterate builds none. The
+    start's logZ, mean and covariance are computed once per engine
+    (_uniform_start) and shared by every bag fitted on it.
+
     Raises ConvergenceError if the iteration budget runs out; its grad_norm
     is the smallest gradient inf-norm any iterate reached, and its `best`
     is that iterate's density.
@@ -256,7 +328,8 @@ def fit_sde(
     if eng.m != m:
         raise ValueError(f"stats have m={m} but the basis produces {eng.m} features")
     lam = np.zeros(m)
-    logz, mean, cov = eng.moments(lam)
+    logz, mean, cov = _uniform_start(eng)
+    mean = mean.copy()  # a returned density never aliases the shared start
     obj = stats.n * (logz - float(lam @ stats.phi_bar))
     if history is not None:
         history.append(obj)
@@ -270,18 +343,21 @@ def fit_sde(
             best = (grad_norm, lam, logz, mean)
         if it == cfg.max_iters:
             break
+        if cov is None:
+            cov = eng.feature_cov(probs, mean)
         hess = stats.n * cov + HESSIAN_RIDGE * np.eye(m)
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)  # negative for a descent direction
         t = 1.0
         for _ in range(60):
             cand = lam + t * step
-            logz_c, mean_c, cov_c = eng.moments(cand)
+            logz_c, probs = eng.node_probs(cand)
             obj_c = stats.n * (logz_c - float(cand @ stats.phi_bar))
             if obj_c <= obj + ARMIJO_C * t * slope:
                 break
             t *= BACKTRACK_RHO
-        lam, logz, mean, cov, obj = cand, logz_c, mean_c, cov_c, obj_c
+        lam, logz, obj = cand, logz_c, obj_c
+        mean, cov = eng.feature_mean(probs), None
         if history is not None:
             history.append(obj)
     grad_norm, lam, logz, mean = best

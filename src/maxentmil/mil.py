@@ -283,8 +283,7 @@ def _bag_metric(items, kind: str, grid=None) -> tuple:
     if kind == "kl-kde":
         if grid is None or not all(isinstance(x, KdeModel) for x in items):
             raise ValueError("kind 'kl-kde' expects KdeModel items and a grid")
-        logw = np.log(grid.weights)
-        log_probs = [_grid_log_probs(k.log_pdf(grid.nodes), logw) for k in items]
+        log_probs = [_grid_log_probs(k.log_pdf(grid.nodes), grid.log_weights) for k in items]
         return log_probs, _discrete_sym_kl
     if kind == "hausdorff":
         arrays = [np.asarray(x, dtype=float) for x in items]

@@ -118,7 +118,7 @@ class FitReport:
     converged: bool = True
     wall_time: float = 0.0
     # Work counters: proximal candidates evaluated (fit_cmen), and likelihood-
-    # kernel calls (log_partition_many + logz_and_mean_many; all but mde).
+    # kernel calls, one exp pass each (BasisGrid.exp_pass; all but mde).
     probes: int | None = None
     kernel_calls: int | None = None
 
@@ -146,14 +146,24 @@ class _JointProblem:
     def n_bags(self) -> int:
         return self.ns.shape[0]
 
-    def nll_and_grad(self, data: np.ndarray) -> tuple[float, np.ndarray]:
+    def nll(self, data: np.ndarray):
         """Total scaled negative log-likelihood sum_i n_i (Z_i - l_i.phibar_i)
-        and its gradient, from one kernel call."""
+        from one kernel call (an exp pass), and a function that forms its
+        gradient from that pass's means; the function raises once a later
+        kernel pass on the thread has run (ExpPass.means)."""
         self.kernel_calls += 1
-        logz, means = self.engine.logz_and_mean_many(data)
-        val = float(self.ns @ (logz - np.einsum("mi,mi->i", data, self.phi_bars)))
-        grad = (means - self.phi_bars) * self.ns[None, :]
+        kernel_pass = self.engine.exp_pass(data)
+        val = float(self.ns @ (kernel_pass.logz - np.einsum("mi,mi->i", data, self.phi_bars)))
+
+        def grad() -> np.ndarray:
+            return (kernel_pass.means() - self.phi_bars) * self.ns[None, :]
+
         return val, grad
+
+    def nll_and_grad(self, data: np.ndarray) -> tuple[float, np.ndarray]:
+        """The likelihood and its gradient, from one kernel call."""
+        val, grad = self.nll(data)
+        return val, grad()
 
 
 def fit_columns_relaxed(
@@ -268,12 +278,16 @@ def line_search(
     The first probe is optimistic: tau = max(LS_ALPHA * tau_prev,
     TAU_FLOOR * tau_lip), at most tau_lip (tau_lip itself for tau_prev =
     inf). Each probe forms the candidate prox(lambda_bar - grad_bar / tau,
-    tau) -> (matrix, its singular values) and evaluates g and its gradient
-    there with one g_and_grad call; the first candidate with g(cand) <=
-    Q(cand, lambda_bar) is accepted. A rejected probe grows tau toward
-    tau_lip by a factor that starts at 1/LS_ALPHA and squares each round.
-    Backtracking from an optimistic step as in Beck & Teboulle (2009) and
-    Scheinberg, Goldfarb & Bai (2014).
+    tau) -> (matrix, its singular values) and evaluates g there with one
+    g_and_grad call, which returns g and a function giving the gradient at
+    the candidate (_JointProblem.nll: g from one exp pass, the gradient
+    from that pass's means). The first candidate with g(cand) <=
+    Q(cand, lambda_bar) is accepted. The test reads only g, so only the
+    returned candidate's gradient is formed, before any other evaluation.
+    A rejected probe grows tau toward tau_lip by a factor that starts at
+    1/LS_ALPHA and squares each round. Backtracking from an optimistic
+    step as in Beck & Teboulle (2009) and Scheinberg, Goldfarb & Bai
+    (2014).
 
     Returns (accepted tau, accepted candidate, its singular values, whether
     it satisfies the majorization, g and its gradient at the candidate,
@@ -287,11 +301,11 @@ def line_search(
     probes = 0
     while True:
         cand, s_cand = prox(lambda_bar - grad_bar / tau, tau)
-        g_cand, grad_cand = g_and_grad(cand)
+        g_cand, grad_at = g_and_grad(cand)
         probes += 1
         ok = _majorized(g_cand, g_bar, cand - lambda_bar, grad_bar, tau)
         if ok or tau >= tau_lip:
-            return tau, cand, s_cand, ok, g_cand, grad_cand, probes
+            return tau, cand, s_cand, ok, g_cand, grad_at(), probes
         tau = min(tau * grow, tau_lip)
         grow = grow * grow
 
@@ -311,15 +325,15 @@ def _cmen_inner(
 
     Each step is one line_search from the current iterate; the accepted
     probe's g and gradient serve the next step, so a step costs one
-    likelihood-kernel call (logz_and_mean_many) per probe and the solve
-    makes no other. Stops when the iterate stops moving, when the
+    likelihood-kernel call (an exp pass) per probe plus one means product
+    for the candidate it returns, and the solve makes no other. Stops when the iterate stops moving, when the
     Lagrangian and g both stall, or after max_inner steps. Returns the
     last state, the step and probe counts, and whether every accepted
     step passed the majorization check.
     """
 
     def g_of(data):
-        nll, grad = prob.nll_and_grad(data)
+        nll, grad = prob.nll(data)
         return nll - nll_hat, grad
 
     def prox(point, tau):
@@ -506,7 +520,7 @@ def fit_rmde(
     converged = False
     for steps in range(1, cfg.max_inner + 1):
         _, cand, s, _, nll, grad, _ = line_search(
-            data, prox, math.inf, tau, prob.nll_and_grad, nll, grad
+            data, prox, math.inf, tau, prob.nll, nll, grad
         )
         trace(nll, s)
         residual = float(np.linalg.norm(cand - data))

@@ -197,6 +197,16 @@ class TestGaussGrid:
         midpoint = make_tensor_grid(box2d, 16)
         assert midpoint.envelope_nodes is midpoint.nodes
 
+    def test_log_weights_read_only_built_once_and_shared_by_engines(self, box2d):
+        from maxentmil.maxent import BasisGrid
+
+        grid = make_gauss_grid(box2d, 8)
+        assert grid.log_weights.tobytes() == np.log(grid.weights).tobytes()
+        assert grid.log_weights is grid.log_weights
+        assert not grid.log_weights.flags.writeable
+        engines = [BasisGrid(make_basis(2, 8, seed=s), grid) for s in (3, 4)]
+        assert all(e.logw is grid.log_weights for e in engines)
+
 
 class TestNodeFeatures:
     def test_values_read_only_and_kept_per_node_set(self, box2d):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import maxentmil.maxent as maxent_mod
 from maxentmil.basis import Domain, make_basis, make_tensor_grid
 from maxentmil.errors import ConvergenceError
 from maxentmil.maxent import (
@@ -12,13 +13,15 @@ from maxentmil.maxent import (
     fit_sde,
     fit_sde_relaxed,
     kl,
-    sde_grad_hess,
-    sde_objective,
     suff_stats,
     sym_kl,
 )
 
 LOG_VOL = np.log(36.0)
+
+
+def log_partition(engine, lam):
+    return engine.node_probs(np.asarray(lam, dtype=float))[0]
 
 
 def make_density(lam, engine, spec, bag_id="p"):
@@ -68,12 +71,12 @@ class TestSuffStats:
 
 class TestLogPartition:
     def test_uniform(self, engine2d):
-        assert engine2d.log_partition(np.zeros(8)) == pytest.approx(LOG_VOL)
+        assert log_partition(engine2d, np.zeros(8)) == pytest.approx(LOG_VOL)
 
     def test_logsumexp_lower_bound(self, engine2d, rng):
         lam = rng.uniform(-2, 2, 8)
         scores = engine2d.phi @ lam + engine2d.logw
-        assert engine2d.log_partition(lam) >= scores.max()
+        assert log_partition(engine2d, lam) >= scores.max()
 
     def test_against_high_resolution_reference(self):
         # 1-d pair with unit frequency; 4096-node reference quadrature.
@@ -82,8 +85,8 @@ class TestLogPartition:
         spec = BasisSpec(d=1, m=2, seed=0, freqs=np.array([[1.0]]))
         dom = Domain(lo=[-3.0], hi=[3.0])
         lam = np.array([0.5, 0.0])
-        coarse = BasisGrid(spec, make_tensor_grid(dom, 64)).log_partition(lam)
-        ref = BasisGrid(spec, make_tensor_grid(dom, 4096)).log_partition(lam)
+        coarse = log_partition(BasisGrid(spec, make_tensor_grid(dom, 64)), lam)
+        ref = log_partition(BasisGrid(spec, make_tensor_grid(dom, 4096)), lam)
         assert coarse == pytest.approx(ref, abs=1e-3)
 
     def test_gauss_legendre_beats_midpoint_on_phase_columns(self):
@@ -111,7 +114,7 @@ class TestLogPartition:
 
     def test_no_overflow_for_large_lambda(self, engine2d):
         lam = np.full(8, 125.0)  # l1 norm 1000
-        assert np.isfinite(engine2d.log_partition(lam))
+        assert np.isfinite(log_partition(engine2d, lam))
 
 
 class TestDensityMoments:
@@ -136,7 +139,7 @@ class TestDensityMoments:
         for j in range(8):
             e = np.zeros(8)
             e[j] = step
-            fd = (engine2d.log_partition(lam + e) - engine2d.log_partition(lam - e)) / (2 * step)
+            fd = (log_partition(engine2d, lam + e) - log_partition(engine2d, lam - e)) / (2 * step)
             assert fd == pytest.approx(mean[j], abs=1e-5)
 
 
@@ -247,58 +250,75 @@ class TestBatchedKernels:
         assert wrong == []
 
 
+def objective(engine, st, lam):
+    """fit_sde's objective n * (logZ(lam) - lam . phi_bar), from the node
+    pass it makes at each trial point."""
+    return st.n * (engine.node_probs(lam)[0] - float(lam @ st.phi_bar))
+
+
+def grad_hess(engine, st, lam):
+    """fit_sde's gradient n * (E_p[phi] - phi_bar) and Hessian n * Cov_p[phi]
+    (before the ridge), from the calls it makes: the node pass, the mean
+    product and the covariance."""
+    _, probs = engine.node_probs(lam)
+    mean = engine.feature_mean(probs)
+    return st.n * (mean - st.phi_bar), st.n * engine.feature_cov(probs, mean)
+
+
 class TestSdeObjectiveAndDerivatives:
-    def test_objective_at_zero(self, spec2d, grid2d):
+    def test_objective_at_zero(self, engine2d):
         st = SufficientStats(bag_id="b", n=17, phi_bar=np.zeros(8))
-        assert sde_objective(np.zeros(8), st, spec2d, grid2d) == pytest.approx(
-            17 * LOG_VOL
-        )
+        assert objective(engine2d, st, np.zeros(8)) == pytest.approx(17 * LOG_VOL)
 
     def test_fitted_not_worse_than_zero(self, spec2d, grid2d, engine2d, rng):
         bag = rng.uniform(-1, 1, size=(200, 2))
         st = suff_stats(bag, spec2d, "b")
         fit = fit_sde(st, spec2d, grid2d, engine=engine2d)
-        assert sde_objective(fit.lam, st, spec2d, grid2d) <= sde_objective(
-            np.zeros(8), st, spec2d, grid2d
-        )
+        assert objective(engine2d, st, fit.lam) <= objective(engine2d, st, np.zeros(8))
 
-    def test_objective_difference_identity(self, spec2d, grid2d, engine2d, rng):
+    def test_objective_difference_identity(self, engine2d, rng):
         st = SufficientStats(bag_id="b", n=11, phi_bar=rng.uniform(-0.3, 0.3, 8))
         l1, l2 = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
-        lhs = sde_objective(l1, st, spec2d, grid2d) - sde_objective(
-            l2, st, spec2d, grid2d
-        )
+        lhs = objective(engine2d, st, l1) - objective(engine2d, st, l2)
         rhs = 11 * (
-            engine2d.log_partition(l1)
-            - engine2d.log_partition(l2)
+            log_partition(engine2d, l1)
+            - log_partition(engine2d, l2)
             - (l1 - l2) @ st.phi_bar
         )
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_m_mismatch(self, spec2d, grid2d):
+    def test_objective_convex_along_segments(self, engine2d, rng):
+        st = SufficientStats(bag_id="b", n=9, phi_bar=rng.uniform(-0.4, 0.4, 8))
+        for _ in range(20):
+            l1, l2 = rng.uniform(-1.5, 1.5, 8), rng.uniform(-1.5, 1.5, 8)
+            mid = objective(engine2d, st, 0.5 * (l1 + l2))
+            ends = 0.5 * (objective(engine2d, st, l1) + objective(engine2d, st, l2))
+            assert mid <= ends + 1e-10
+
+    def test_m_mismatch(self, spec2d, grid2d, engine2d):
         st = SufficientStats(bag_id="b", n=3, phi_bar=np.zeros(6))
-        with pytest.raises(ValueError):
-            sde_objective(np.zeros(8), st, spec2d, grid2d)
+        with pytest.raises(ValueError, match="m=6"):
+            fit_sde(st, spec2d, grid2d, engine=engine2d)
 
     @pytest.mark.parametrize("trial", range(5))
-    def test_grad_hess_match_finite_differences(self, spec2d, grid2d, trial):
+    def test_grad_hess_match_finite_differences(self, engine2d, trial):
         rng = np.random.default_rng(200 + trial)
         st = SufficientStats(bag_id="b", n=7, phi_bar=rng.uniform(-0.4, 0.4, 8))
         lam = rng.uniform(-0.8, 0.8, 8)
-        grad, hess = sde_grad_hess(lam, st, spec2d, grid2d)
+        grad, hess = grad_hess(engine2d, st, lam)
+        # The Hessian is symmetric positive semidefinite: the objective is convex.
+        np.testing.assert_array_equal(hess, hess.T)
+        assert np.linalg.eigvalsh(hess).min() >= -1e-10
         for j in range(8):
             e = np.zeros(8)
             e[j] = 1e-5
-            fd = (
-                sde_objective(lam + e, st, spec2d, grid2d)
-                - sde_objective(lam - e, st, spec2d, grid2d)
-            ) / 2e-5
+            fd = (objective(engine2d, st, lam + e) - objective(engine2d, st, lam - e)) / 2e-5
             assert fd == pytest.approx(grad[j], abs=1e-5 * max(1, abs(grad[j])))
         for j in range(8):
             e = np.zeros(8)
             e[j] = 1e-4
-            gp, _ = sde_grad_hess(lam + e, st, spec2d, grid2d)
-            gm, _ = sde_grad_hess(lam - e, st, spec2d, grid2d)
+            gp, _ = grad_hess(engine2d, st, lam + e)
+            gm, _ = grad_hess(engine2d, st, lam - e)
             np.testing.assert_allclose((gp - gm) / 2e-4, hess[:, j], atol=1e-4)
 
 
@@ -367,26 +387,28 @@ class TestFitSde:
 
     def test_relaxed_fit_is_one_newton_pass(self, spec2d, grid2d, engine2d, rng, monkeypatch):
         # A fit that misses grad_tol costs exactly what one strict attempt
-        # costs: no second Newton pass.
+        # costs: no second Newton pass. Both start from the engine's cached
+        # lam = 0 point, so each pays one node pass per trial point.
         bag = rng.uniform(-2.9, 2.9, size=(400, 2))
         st = suff_stats(bag, spec2d, "b")
         monkeypatch.setattr(NewtonConfig, "max_iters", 4)
         base = NewtonConfig(grad_tol=1e-12)
+        fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)  # caches the start
         calls = []
-        original = engine2d.moments
+        original = engine2d.node_probs
 
         def counting(lam):
             calls.append(1)
             return original(lam)
 
-        monkeypatch.setattr(engine2d, "moments", counting)
+        monkeypatch.setattr(engine2d, "node_probs", counting)
         with pytest.raises(ConvergenceError):
             fit_sde(st, spec2d, grid2d, base, engine=engine2d)
         strict = len(calls)
         calls.clear()
         _, notes = fit_sde_relaxed(st, spec2d, grid2d, base, engine=engine2d)
         assert notes
-        assert len(calls) == strict
+        assert len(calls) == strict >= 4
 
     def test_relaxed_fit_raises_beyond_limit(self, spec2d, grid2d, engine2d, rng, monkeypatch):
         # One Newton step leaves the gradient far above RELAX_LIMIT times
@@ -409,6 +431,245 @@ class TestFitSde:
         st = suff_stats(samples, spec2d, "bag")
         fit = fit_sde(st, spec2d, grid2d, engine=engine2d)
         assert np.abs(fit.mean_phi - truth.mean_phi).max() <= 0.05
+
+
+def eager_fit_sde(stats, engine, cfg, counts):
+    """fit_sde's Newton loop as it was before it evaluated lazily: every
+    trial point builds logZ, mean and covariance (moments), from a lam = 0
+    start computed afresh. Returns ("converged", lam, logZ, mean, history)
+    or, on a spent budget, ("best", lam, logZ, mean, history, grad_norm);
+    counts["steps"] gets the Newton steps, counts["trials"] the trial
+    points."""
+    lam = np.zeros(stats.m)
+    logz, mean, cov = engine.moments(lam)
+    obj = stats.n * (logz - float(lam @ stats.phi_bar))
+    history, best = [obj], None
+    for it in range(cfg.max_iters + 1):
+        grad = stats.n * (mean - stats.phi_bar)
+        grad_norm = float(np.abs(grad).max())
+        if grad_norm <= cfg.grad_tol:
+            return "converged", lam, logz, mean, history
+        if best is None or grad_norm < best[0]:
+            best = (grad_norm, lam, logz, mean)
+        if it == cfg.max_iters:
+            break
+        counts["steps"] += 1
+        hess = stats.n * cov + maxent_mod.HESSIAN_RIDGE * np.eye(stats.m)
+        step = np.linalg.solve(hess, -grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(60):
+            counts["trials"] += 1
+            cand = lam + t * step
+            logz_c, mean_c, cov_c = engine.moments(cand)
+            obj_c = stats.n * (logz_c - float(cand @ stats.phi_bar))
+            if obj_c <= obj + maxent_mod.ARMIJO_C * t * slope:
+                break
+            t *= maxent_mod.BACKTRACK_RHO
+        lam, logz, mean, cov, obj = cand, logz_c, mean_c, cov_c, obj_c
+        history.append(obj)
+    grad_norm, lam, logz, mean = best
+    return "best", lam, logz, mean, history, grad_norm
+
+
+def lazy_fit_sde(stats, spec, grid, cfg, engine):
+    """fit_sde's result in eager_fit_sde's layout."""
+    history = []
+    try:
+        dens = fit_sde(stats, spec, grid, cfg, engine=engine, history=history)
+    except ConvergenceError as exc:
+        best = exc.best
+        return "best", best.lam, best.logZ, best.mean_phi, history, exc.grad_norm
+    return "converged", dens.lam, dens.logZ, dens.mean_phi, history
+
+
+def same_bits(a, b):
+    assert len(a) == len(b) and a[0] == b[0]
+    for x, y in zip(a[1:], b[1:]):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def counted_engine(spec, grid, monkeypatch):
+    """A fresh engine (no cached start) whose node passes, mean products
+    and covariance products are counted."""
+    engine = BasisGrid(spec, grid)
+    counts = {"node_probs": 0, "feature_mean": 0, "feature_cov": 0}
+    for name in counts:
+
+        def counting(*args, original=getattr(engine, name), name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    return engine, counts
+
+
+def stalling_bag(rng):
+    # test_maxent's stalling bag: 4 Newton steps stop above grad_tol 1e-12.
+    return rng.uniform(-2.9, 2.9, size=(400, 2))
+
+
+def rejecting_bag():
+    # A tight cluster: one Newton step of its fit fails the Armijo test once.
+    return np.random.default_rng(5).normal((2.0, 0.0), 0.2, size=(300, 2))
+
+
+class TestLazyNewton:
+    """fit_sde evaluates only what each test reads: logZ at every trial
+    point, the mean at accepted points, the covariance where a step
+    follows, and the lam = 0 start once per engine. Its results are those
+    of the eager loop (eager_fit_sde), bit for bit."""
+
+    def bags(self, spec, rng):
+        out = [
+            rng.uniform(-2, 2, size=(200, 2)),
+            rng.normal((1.0, -1.0), 0.5, size=(300, 2)),
+            rng.uniform(-1, 2, size=(150, 2)),
+            rejecting_bag(),
+        ]
+        return [suff_stats(b, spec, f"b{i}") for i, b in enumerate(out)]
+
+    def test_converging_bags_match_eager_bits(self, spec2d, grid2d, engine2d, rng):
+        cfg = NewtonConfig()
+        for st in self.bags(spec2d, rng):
+            eager = eager_fit_sde(st, BasisGrid(spec2d, grid2d), cfg, {"steps": 0, "trials": 0})
+            assert eager[0] == "converged"
+            same_bits(lazy_fit_sde(st, spec2d, grid2d, cfg, engine2d), eager)
+
+    @pytest.mark.parametrize("max_iters", [1, 4, 7])
+    def test_stalling_bag_matches_eager_bits_and_best(self, spec2d, grid2d, engine2d, rng, monkeypatch, max_iters):
+        st = suff_stats(stalling_bag(rng), spec2d, "b")
+        monkeypatch.setattr(NewtonConfig, "max_iters", max_iters)
+        cfg = NewtonConfig(grad_tol=1e-12)
+        eager = eager_fit_sde(st, BasisGrid(spec2d, grid2d), cfg, {"steps": 0, "trials": 0})
+        assert eager[0] == "best"
+        same_bits(lazy_fit_sde(st, spec2d, grid2d, cfg, engine2d), eager)
+
+    def test_rejecting_bag_matches_eager_bits(self, spec2d, grid2d, engine2d):
+        st = suff_stats(rejecting_bag(), spec2d, "b")
+        counts = {"steps": 0, "trials": 0}
+        eager = eager_fit_sde(st, BasisGrid(spec2d, grid2d), NewtonConfig(), counts)
+        assert counts["trials"] > counts["steps"]
+        same_bits(lazy_fit_sde(st, spec2d, grid2d, NewtonConfig(), engine2d), eager)
+
+    def test_bags_alternating_engines_match_eager_bits(self, grid2d, rng):
+        # Two engines on one grid take turns: each switch replaces the
+        # thread's cached start, and every fit still starts from its own
+        # engine's.
+        specs = [make_basis(2, 8, seed=s) for s in (21, 22)]
+        engines = [BasisGrid(spec, grid2d) for spec in specs]
+        bags = [rng.uniform(-2, 2, size=(200, 2)) for _ in range(6)]
+        for i, bag in enumerate(bags):
+            spec, engine = specs[i % 2], engines[i % 2]
+            st = suff_stats(bag, spec, f"b{i}")
+            eager = eager_fit_sde(st, BasisGrid(spec, grid2d), NewtonConfig(), {"steps": 0, "trials": 0})
+            same_bits(lazy_fit_sde(st, spec, grid2d, NewtonConfig(), engine), eager)
+
+    @pytest.mark.parametrize("case", ["converging", "rejecting", "stalling"])
+    def test_exact_work_counts(self, spec2d, grid2d, rng, monkeypatch, case):
+        # Cold engine: node passes = 1 + trial points, mean products = 1 +
+        # accepted points (one per step), covariance products = steps. The
+        # same bag again on the warm engine skips the start's three.
+        bag = {"converging": rng.uniform(-2, 2, size=(200, 2)),
+               "rejecting": rejecting_bag(), "stalling": stalling_bag(rng)}[case]
+        cfg = NewtonConfig()
+        if case == "stalling":
+            monkeypatch.setattr(NewtonConfig, "max_iters", 4)
+            cfg = NewtonConfig(grad_tol=1e-12)
+        st = suff_stats(bag, spec2d, "b")
+        expect = {"steps": 0, "trials": 0}
+        eager_fit_sde(st, BasisGrid(spec2d, grid2d), cfg, expect)
+        assert expect["steps"] > 0
+        engine, counts = counted_engine(spec2d, grid2d, monkeypatch)
+        for cached in (0, 1):
+            for name in counts:
+                counts[name] = 0
+            lazy_fit_sde(st, spec2d, grid2d, cfg, engine)
+            assert counts == {
+                "node_probs": 1 - cached + expect["trials"],
+                "feature_mean": 1 - cached + expect["steps"],
+                "feature_cov": expect["steps"] - cached,
+            }
+
+    def test_returned_density_does_not_alias_the_cached_start(self, spec2d, grid2d):
+        # A bag whose empirical mean is the uniform density's converges at
+        # lam = 0: the density returned is the start, in arrays of its own.
+        engine = BasisGrid(spec2d, grid2d)
+        _, start_mean, start_cov = maxent_mod._uniform_start(engine)
+        assert not start_mean.flags.writeable and not start_cov.flags.writeable
+        st = SufficientStats(bag_id="u", n=50, phi_bar=np.clip(start_mean, -1, 1))
+        dens = fit_sde(st, spec2d, grid2d, engine=engine)
+        assert np.abs(dens.lam).max() == 0.0
+        assert not np.shares_memory(dens.mean_phi, start_mean)
+        assert not np.shares_memory(dens.lam, start_mean)
+        assert maxent_mod._uniform_start(engine)[1] is start_mean
+
+
+class TestEngineCheck:
+    def test_engine_of_another_basis_rejected(self, spec2d, grid2d, rng):
+        other = make_basis(2, 8, seed=8)
+        st = suff_stats(rng.uniform(-2, 2, size=(100, 2)), spec2d, "b")
+        with pytest.raises(ValueError) as err:
+            fit_sde(st, spec2d, grid2d, engine=BasisGrid(other, grid2d))
+        assert str(spec2d.key) in str(err.value) and str(other.key) in str(err.value)
+
+    def test_engine_on_another_grid_rejected(self, spec2d, grid2d, box2d, rng):
+        from maxentmil.basis import make_gauss_grid
+
+        st = suff_stats(rng.uniform(-2, 2, size=(100, 2)), spec2d, "b")
+        for other in (make_tensor_grid(box2d, 32), make_gauss_grid(box2d, 64)):
+            with pytest.raises(ValueError) as err:
+                fit_sde(st, spec2d, grid2d, engine=BasisGrid(spec2d, other))
+            assert f"{other.kind} grid of {other.size} nodes" in str(err.value)
+            assert f"{grid2d.kind} grid of {grid2d.size} nodes" in str(err.value)
+
+    def test_engine_on_an_equal_grid_accepted(self, spec2d, grid2d, engine2d, rng):
+        st = suff_stats(rng.uniform(-2, 2, size=(100, 2)), spec2d, "b")
+        twin = make_tensor_grid(grid2d.domain, 64)
+        assert twin is not grid2d
+        a = fit_sde(st, spec2d, twin, engine=engine2d)
+        b = fit_sde(st, spec2d, grid2d)
+        assert a.lam.tobytes() == b.lam.tobytes()
+
+
+class TestExpPass:
+    def test_means_after_a_later_pass_raise(self, engine2d, rng):
+        first = engine2d.exp_pass(rng.uniform(-1, 1, size=(8, 3)))
+        first.means()
+        later = engine2d.exp_pass(rng.uniform(-1, 1, size=(8, 3)))
+        with pytest.raises(RuntimeError, match="later kernel pass"):
+            first.means()
+        later.means()
+        engine2d.node_probs(np.zeros(8))  # a one-column pass retires it too
+        with pytest.raises(RuntimeError):
+            later.means()
+
+    def test_means_on_another_thread_raise(self, engine2d, rng):
+        import threading
+
+        kernel_pass = engine2d.exp_pass(rng.uniform(-1, 1, size=(8, 3)))
+        errors = []
+
+        def read():
+            try:
+                kernel_pass.means()
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        thread.join(timeout=60)
+        assert len(errors) == 1
+        kernel_pass.means()  # still this thread's latest pass
+
+    def test_pass_matches_bundled_kernels(self, engine2d, rng):
+        lambdas = rng.uniform(-2, 2, size=(8, 5))
+        kernel_pass = engine2d.exp_pass(lambdas)
+        means = kernel_pass.means()
+        logz, ref_means = engine2d.logz_and_mean_many(lambdas)
+        assert kernel_pass.logz.tobytes() == logz.tobytes()
+        assert means.tobytes() == ref_means.tobytes()
+        assert engine2d.log_partition_many(lambdas).tobytes() == logz.tobytes()
 
 
 class TestKl:

@@ -106,10 +106,8 @@ class TestFitMde:
 
     def test_joint_objective_is_sum_of_minima(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod):
         hat, stats = hat_and_stats
-        from maxentmil.maxent import sde_objective
-
         total = sum(
-            sde_objective(hat.data[:, i], s, spec2d_mod, grid2d_mod, engine=engine2d_mod)
+            s.n * (engine2d_mod.node_probs(hat.data[:, i])[0] - hat.data[:, i] @ s.phi_bar)
             for i, s in enumerate(stats)
         )
         prob = solvers_mod._JointProblem(engine2d_mod, stats)
@@ -156,34 +154,58 @@ class TestDefaultAnchor:
         assert report.warnings[: len(notes)] == notes
 
 
+def count_kernel_work(engine, monkeypatch):
+    """Counts of the engine's exp passes, the means formed from them, the
+    line searches and the joint fits (each evaluates its start once with
+    nll_and_grad)."""
+    from maxentmil.maxent import ExpPass
+
+    calls = {"exp_pass": 0, "means": 0, "line_search": 0, "fits": 0}
+
+    def counted(name, original):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(engine, "exp_pass", counted("exp_pass", engine.exp_pass))
+    monkeypatch.setattr(ExpPass, "means", counted("means", ExpPass.means))
+    monkeypatch.setattr(solvers_mod, "line_search", counted("line_search", solvers_mod.line_search))
+    monkeypatch.setattr(
+        solvers_mod._JointProblem, "nll_and_grad",
+        counted("fits", solvers_mod._JointProblem.nll_and_grad),
+    )
+    return calls
+
+
 @pytest.mark.parametrize(
-    "solve",
+    "solve, fits",
     [
-        lambda *a, lambda_hat, **k: fit_rmde(*a, 5.0, init=lambda_hat, **k),
-        rmde_continuation,
-        lambda *a, **k: rmde_cross_validate(*a, [0.1, 10.0], 0, **k),
+        (lambda *a, lambda_hat, **k: fit_rmde(*a, 5.0, init=lambda_hat, **k), 1),
+        # One fit per stage.
+        (rmde_continuation, None),
+        # One per eta on the training split, and the refit.
+        (lambda *a, **k: rmde_cross_validate(*a, [0.1, 10.0], 0, **k), 3),
     ],
     ids=["fit_rmde", "rmde_continuation", "rmde_cross_validate"],
 )
-def test_rmde_reports_count_kernel_calls(solve, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
-    # As for fit_cmen, the report's kernel_calls equals the calls of the
-    # two likelihood kernels the engine saw: every stage of the
-    # continuation, and every training-split fit, held-out scoring and the
-    # refit of the cross-validation.
+def test_rmde_reports_count_kernel_calls(solve, fits, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
+    # As for fit_cmen, the report's kernel_calls equals the exp passes the
+    # engine made: every stage of the continuation, and every training-split
+    # fit, held-out scoring and the refit of the cross-validation. Means
+    # are formed once per line search (its returned candidate's gradient)
+    # and once per fit, for its start.
     hat, stats = hat_and_stats
-    calls = {"log_partition_many": 0, "logz_and_mean_many": 0}
-    for name in calls:
-
-        def counting(data, original=getattr(engine2d_mod, name), name=name):
-            calls[name] += 1
-            return original(data)
-
-        monkeypatch.setattr(engine2d_mod, name, counting)
+    calls = count_kernel_work(engine2d_mod, monkeypatch)
     _, report = solve(
         stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
     )
     assert report.probes is None
-    assert report.kernel_calls == sum(calls.values()) > 0
+    assert report.kernel_calls == calls["exp_pass"] > 0
+    assert calls["means"] == calls["line_search"] + calls["fits"]
+    assert calls["line_search"] > 0
+    assert calls["fits"] == (len(report.etas) if fits is None else fits)
 
 
 class TestFitReport:
@@ -294,7 +316,7 @@ class TestProxStep:
     @staticmethod
     def step(bar, grad, z, tau):
         def flat(y):
-            return 0.0, np.zeros_like(y)
+            return 0.0, lambda: np.zeros_like(y)
 
         tau_out, out, _, _, _, _, probes = line_search(
             bar, soft(z), math.inf, tau, flat, 0.0, grad
@@ -330,10 +352,10 @@ class TestLineSearch:
         bar = rng.standard_normal((5, 4))
 
         def g_and_grad(y):
-            return 0.5 * curv * float(np.linalg.norm(y - a) ** 2), curv * (y - a)
+            return 0.5 * curv * float(np.linalg.norm(y - a) ** 2), lambda: curv * (y - a)
 
         g_bar, grad_bar = g_and_grad(bar)
-        return bar, g_and_grad, g_bar, grad_bar
+        return bar, g_and_grad, g_bar, grad_bar()
 
     def test_accepts_within_one_alpha_factor(self, rng):
         # The first probe sits just below the curvature and fails; one
@@ -377,7 +399,7 @@ class TestLineSearch:
         tau_lip = 64.0
 
         def flat(y):
-            return 0.0, np.zeros_like(y)
+            return 0.0, lambda: np.zeros_like(y)
 
         for tau_prev, expected in ((1e-9, TAU_FLOOR * tau_lip), (1e9, tau_lip)):
             tau, _, _, ok, _, _, probes = line_search(
@@ -396,7 +418,7 @@ class TestLineSearch:
         tau_lip = lipschitz_tau(stats, 8)
         for tau_prev in (TAU_FLOOR * tau_lip, 0.1 * tau_lip):
             _, cand, s_cand, ok, g_cand, grad_cand, _ = line_search(
-                bar, soft(0.5), tau_prev, tau_lip, prob.nll_and_grad, g_bar, grad_bar
+                bar, soft(0.5), tau_prev, tau_lip, prob.nll, g_bar, grad_bar
             )
             g_ref, grad_ref = prob.nll_and_grad(cand)
             assert ok
@@ -405,6 +427,21 @@ class TestLineSearch:
             np.testing.assert_allclose(
                 s_cand, np.linalg.svd(cand, compute_uv=False), rtol=0, atol=1e-10
             )
+
+    def test_stale_gradient_read_raises(self, hat_and_stats, engine2d_mod, rng):
+        # A probe's gradient is formed from its exp pass: once another pass
+        # has run on the thread, reading it raises instead of returning the
+        # later pass's means.
+        hat, stats = hat_and_stats
+        prob = solvers_mod._JointProblem(engine2d_mod, stats)
+        first = hat.data + 0.3 * rng.standard_normal(hat.data.shape)
+        _, grad_first = prob.nll(first)
+        _, grad_second = prob.nll(hat.data)
+        with pytest.raises(RuntimeError, match="later kernel pass"):
+            grad_first()
+        np.testing.assert_array_equal(grad_second(), prob.nll_and_grad(hat.data)[1])
+        with pytest.raises(RuntimeError):
+            grad_second()
 
     def test_flag_false_only_when_tau_lip_fails(self, rng):
         curv = 5.0
@@ -512,26 +549,20 @@ class TestFitCmen:
         assert r1.constraint_trace == r2.constraint_trace
 
     def test_one_kernel_call_per_probe(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
-        # Each probe of each inner solve is one logz_and_mean_many call, and
-        # the inner loop never calls log_partition_many; beyond the probes
-        # fit_cmen evaluates only its two anchors, zero and lambda_hat. The
-        # report's counters equal the calls the engine saw.
+        # Each probe of each inner solve is one exp pass, and each of its
+        # line searches forms one set of means, for the candidate it
+        # returns; beyond those, fit_cmen evaluates only its two anchors,
+        # zero and lambda_hat. The report's counters equal the passes the
+        # engine made.
         hat, stats = hat_and_stats
-        calls = {"log_partition_many": 0, "logz_and_mean_many": 0}
-        for name in calls:
-
-            def counting(data, original=getattr(engine2d_mod, name), name=name):
-                calls[name] += 1
-                return original(data)
-
-            monkeypatch.setattr(engine2d_mod, name, counting)
+        calls = count_kernel_work(engine2d_mod, monkeypatch)
         solves = []
         original_inner = solvers_mod._cmen_inner
 
         def recording(*args, **kwargs):
             before = dict(calls)
             out = original_inner(*args, **kwargs)
-            solves.append({k: calls[k] - before[k] for k in calls} | {"probes": out[2]})
+            solves.append({k: calls[k] - before[k] for k in calls} | {"probes": out[2], "steps": out[1]})
             return out
 
         monkeypatch.setattr(solvers_mod, "_cmen_inner", recording)
@@ -540,12 +571,11 @@ class TestFitCmen:
         )
         assert solves and sum(report.inner_iters) > 0
         for solve in solves:
-            assert solve["log_partition_many"] == 0
-            assert solve["logz_and_mean_many"] == solve["probes"]
-        assert report.probes == sum(s["probes"] for s in solves) >= sum(report.inner_iters)
-        assert calls["log_partition_many"] == 0
-        assert calls["logz_and_mean_many"] == report.probes + 2
-        assert report.kernel_calls == sum(calls.values())
+            assert solve["exp_pass"] == solve["probes"]
+            assert solve["means"] == solve["line_search"] == solve["steps"]
+        assert report.probes == sum(s["probes"] for s in solves) > sum(report.inner_iters)
+        assert calls["exp_pass"] == report.probes + 2 == report.kernel_calls
+        assert calls["means"] == calls["line_search"] + 2 == sum(report.inner_iters) + 2
 
     @pytest.mark.slow
     def test_synthetic_rank_recovery_majority(self):
@@ -607,19 +637,11 @@ class TestFitRmde:
         # Each candidate's likelihood and gradient come from its probe and
         # serve the next step; only the start needs a call of its own.
         hat, stats = hat_and_stats
-        calls = []
-        for name in ("log_partition_many", "logz_and_mean_many"):
-            original = getattr(engine2d_mod, name)
-
-            def counting(data, original=original):
-                calls.append(1)
-                return original(data)
-
-            monkeypatch.setattr(engine2d_mod, name, counting)
+        calls = count_kernel_work(engine2d_mod, monkeypatch)
         _, report = fit_rmde(
             stats, spec2d_mod, grid2d_mod, 5.0, newton=NEWTON, engine=engine2d_mod, init=hat
         )
-        assert len(calls) == report.inner_iters[0] + 1
+        assert calls["exp_pass"] == calls["means"] == report.inner_iters[0] + 1
         assert len(report.objective_trace) == len(report.rank_trace) == report.inner_iters[0] + 1
 
     def test_rmde_steps_through_line_search(self, hat_and_stats, spec2d_mod, grid2d_mod, engine2d_mod, monkeypatch):
