@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -206,6 +207,15 @@ class BasisGrid:
         mean = self.feature_mean(probs)
         return logz, mean, self.feature_cov(probs, mean)
 
+    @cached_property
+    def uniform_start(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """moments at lam = 0, read-only and computed on first use: the
+        start of every bag fitted on the engine (m^2 + m floats kept)."""
+        logz, mean, cov = self.moments(np.zeros(self.m))
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return logz, mean, cov
+
     def _shifted_exp(self, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """exp(scores - shift) per bag row, in the (N, Q) workspace, and the
         (N,) shift. Each call is a new pass: it retires every earlier
@@ -266,22 +276,6 @@ def as_engine(spec, grid, engine: BasisGrid | None) -> BasisGrid:
     return engine
 
 
-def _uniform_start(eng: BasisGrid) -> tuple[float, np.ndarray, np.ndarray]:
-    """logZ, feature mean and covariance at lam = 0 on eng, read-only.
-
-    Every bag fitted on an engine starts there, so each thread keeps its
-    last engine's, keyed by identity (the entry's reference keeps the id
-    alive). Per thread, not on the engine, for the reason _workspace gives.
-    """
-    last = getattr(_scratch, "start", None)
-    if last is None or last[0] is not eng:
-        logz, mean, cov = eng.moments(np.zeros(eng.m))
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        last = _scratch.start = (eng, logz, mean, cov)
-    return last[1], last[2], last[3]
-
-
 def suff_stats(bag: np.ndarray, spec: BasisSpec, bag_id: str) -> SufficientStats:
     """Summarize a bag of instances into (n, mean feature vector).
 
@@ -317,7 +311,7 @@ def fit_sde(
     formed from that pass's probabilities, and its covariance only when
     another Newton step follows, so the final iterate builds none. The
     start's logZ, mean and covariance are computed once per engine
-    (_uniform_start) and shared by every bag fitted on it.
+    (BasisGrid.uniform_start) and shared by every bag fitted on it.
 
     Raises ConvergenceError if the iteration budget runs out; its grad_norm
     is the smallest gradient inf-norm any iterate reached, and its `best`
@@ -328,7 +322,7 @@ def fit_sde(
     if eng.m != m:
         raise ValueError(f"stats have m={m} but the basis produces {eng.m} features")
     lam = np.zeros(m)
-    logz, mean, cov = _uniform_start(eng)
+    logz, mean, cov = eng.uniform_start
     mean = mean.copy()  # a returned density never aliases the shared start
     obj = stats.n * (logz - float(lam @ stats.phi_bar))
     if history is not None:

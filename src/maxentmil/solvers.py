@@ -37,7 +37,7 @@ from .maxent import (
     NewtonConfig,
     SufficientStats,
     as_engine,
-    fit_sde,  # noqa: F401  (the single-bag fit, reachable as solvers.fit_sde)
+    fit_sde,  # noqa: F401  (an alias perfbench/test_harness.py checks the tracer rewraps)
     fit_sde_relaxed,
 )
 
@@ -310,60 +310,40 @@ def line_search(
         grow = grow * grow
 
 
-def _cmen_inner(
-    prob: _JointProblem,
-    nll_hat: float,
-    start: tuple,
-    z: float,
+def _descend(
+    state: tuple,
+    prox,
+    g_of,
     tau_lip: float,
-    max_inner: int,
-    cfg: CmenaConfig,
-) -> tuple[tuple, int, int, bool]:
-    """Proximal gradient with an adaptive step on |L|_* + z*(g(L) - eps) at
-    fixed z, from the warm state start = (iterate, its singular values,
-    tau, g, gradient).
+    max_steps: int,
+    stop,
+    fixed_step: bool = False,
+) -> tuple[tuple, int, int, bool, bool]:
+    """Proximal gradient from state = (iterate, its singular values, tau,
+    g, gradient), the one loop of both joint solvers.
 
-    Each step is one line_search from the current iterate; the accepted
-    probe's g and gradient serve the next step, so a step costs one
-    likelihood-kernel call (an exp pass) per probe plus one means product
-    for the candidate it returns, and the solve makes no other. Stops when the iterate stops moving, when the
-    Lagrangian and g both stall, or after max_inner steps. Returns the
-    last state, the step and probe counts, and whether every accepted
-    step passed the majorization check.
+    Each step is one line_search from the current iterate, starting from
+    the state's accepted tau, or, with fixed_step, from tau_prev = inf (one
+    probe at tau_lip). The accepted probe's g and gradient serve the next
+    step, so a step costs one likelihood-kernel call (an exp pass) per
+    probe plus one means product for the candidate it returns. Stops once
+    stop(old state, new state) holds, or after max_steps steps. Returns the
+    last state, the step and probe counts, whether every accepted step
+    passed the majorization check, and whether the stop rule held.
     """
-
-    def g_of(data):
-        nll, grad = prob.nll(data)
-        return nll - nll_hat, grad
-
-    def prox(point, tau):
-        return shrink(point, 1.0 / (tau * z))
-
-    cur, s_cur, tau, g_cur, grad_cur = start
-    lagr_cur = float(s_cur.sum()) + z * g_cur
-    all_ok = True
-    probes = 0
-    for steps in range(1, max_inner + 1):
+    all_ok, probes = True, 0
+    for steps in range(1, max_steps + 1):
+        cur, _, tau, g_cur, grad_cur = state
         tau, cand, s_cand, ok, g_cand, grad_cand, n = line_search(
-            cur, prox, tau, tau_lip, g_of, g_cur, grad_cur
+            cur, prox, math.inf if fixed_step else tau, tau_lip, g_of, g_cur, grad_cur
         )
         probes += n
         all_ok = all_ok and ok
-        lagr_cand = float(s_cand.sum()) + z * g_cand
-        delta_lagr = lagr_cur - lagr_cand
-        delta_g = abs(g_cand - g_cur)
-        moved = float(np.linalg.norm(cand - cur))
-        scale = max(1.0, float(np.linalg.norm(cur)))
-        cur, s_cur, g_cur, grad_cur, lagr_cur = cand, s_cand, g_cand, grad_cand, lagr_cand
-        # Near-stationary for this z: the iterate stopped moving.
-        if moved <= 1e-5 * scale:
-            break
-        # Or the Lagrangian and the constraint value both stalled; at small
-        # z real constraint progress is nearly invisible in L alone, so the
-        # stall must be joint.
-        if delta_lagr < cfg.obj_tol and delta_g < 0.1 * cfg.cons_tol:
-            break
-    return (cur, s_cur, tau, g_cur, grad_cur), steps, probes, all_ok
+        new = (cand, s_cand, tau, g_cand, grad_cand)
+        if stop(state, new):
+            return new, steps, probes, all_ok, True
+        state = new
+    return state, max_steps, probes, all_ok, False
 
 
 def fit_cmen(
@@ -378,7 +358,8 @@ def fit_cmen(
     """Minimize the nuclear norm subject to g(L) <= eps = a*N*m/2.
 
     Outer loop bisects the dual multiplier z (doubling the upper end first
-    until a feasible inner solution brackets the boundary). Primal warm
+    until a feasible inner solution brackets the boundary); the inner solve
+    at each z is _descend on |L|_* + z*(g(L) - eps). Primal warm
     state persists per bracket endpoint — the ML estimate anchors the high
     end, the zero matrix the low end — and each midpoint is solved from
     both on half budgets, keeping the lower-Lagrangian result. Terminates
@@ -397,6 +378,11 @@ def fit_cmen(
     report = FitReport(solver="cmen", warnings=notes)
 
     nll_hat, grad_hat = prob.nll_and_grad(lambda_hat.data)
+
+    def g_of(data):
+        nll, grad = prob.nll(data)
+        return nll - nll_hat, grad
+
     zero = np.zeros_like(lambda_hat.data)
     nll_zero, grad_zero = prob.nll_and_grad(zero)
     g_zero = nll_zero - nll_hat
@@ -433,11 +419,29 @@ def fit_cmen(
             starts = (warm_lo, warm_hi)
         else:
             z, budget, starts = z_hi, cfg.max_inner, (warm_hi,)
-        trials = [
-            _cmen_inner(prob, nll_hat, warm, z, tau0, budget, cfg) for warm in starts
-        ]
+
+        def prox(point, tau):
+            return shrink(point, 1.0 / (tau * z))
+
+        def lagrangian(state):
+            return float(state[1].sum()) + z * state[3]
+
+        def stop(old, new):
+            # Near-stationary for this z: the iterate stopped moving. Or g
+            # and the Lagrangian both stalled; at small z real constraint
+            # progress is nearly invisible in the Lagrangian alone, so the
+            # stall must be joint.
+            moved = float(np.linalg.norm(new[0] - old[0]))
+            if moved <= 1e-5 * max(1.0, float(np.linalg.norm(old[0]))):
+                return True
+            return (
+                abs(new[3] - old[3]) < 0.1 * cfg.cons_tol
+                and lagrangian(old) - lagrangian(new) < cfg.obj_tol
+            )
+
+        trials = [_descend(warm, prox, g_of, tau0, budget, stop) for warm in starts]
         # The lower Lagrangian nuc + z*(g - eps) wins, the first on ties.
-        state, _, _, ls_ok = min(trials, key=lambda t: t[0][1].sum() + z * (t[0][3] - eps))
+        state, _, _, ls_ok, _ = min(trials, key=lambda t: t[0][1].sum() + z * (t[0][3] - eps))
         sol, spectrum, _, gval, _ = state
         nuc = float(spectrum.sum())
         steps = sum(t[1] for t in trials)
@@ -488,10 +492,11 @@ def fit_rmde(
     """Proximal gradient on the likelihood plus eta * nuclear norm.
 
     Fixed step 1/tau with tau the Lipschitz bound, so every step descends
-    the penalized objective: each step is a line_search from tau_prev =
-    inf, whose one probe is at tau. Stops when the iterate displacement
-    (equal to the prox-stationarity residual, by non-expansiveness) is
-    within obj_tol. Each iterate is evaluated once (its probe's likelihood
+    the penalized objective: _descend with fixed_step, each step a
+    line_search from tau_prev = inf, whose one probe is at tau. Stops when
+    the iterate displacement (equal to the prox-stationarity residual, by
+    non-expansiveness) is within obj_tol; the stop rule traces every
+    iterate. Each iterate is evaluated once (its probe's likelihood
     and gradient serve the next step) and decomposed once (the start here,
     the rest by the shrinkage that makes them); its singular values give
     both the nuclear norm and the traced rank.
@@ -514,20 +519,17 @@ def fit_rmde(
     def prox(point, tau):
         return shrink(point, eta / tau)
 
-    data, s = init.data, singular_values(init.data)
-    nll, grad = prob.nll_and_grad(data)
+    def stop(old, new):
+        trace(new[3], new[1])
+        return float(np.linalg.norm(new[0] - old[0])) <= cfg.obj_tol
+
+    s = singular_values(init.data)
+    nll, grad = prob.nll_and_grad(init.data)
     trace(nll, s)
-    converged = False
-    for steps in range(1, cfg.max_inner + 1):
-        _, cand, s, _, nll, grad, _ = line_search(
-            data, prox, math.inf, tau, prob.nll, nll, grad
-        )
-        trace(nll, s)
-        residual = float(np.linalg.norm(cand - data))
-        data = cand
-        if residual <= cfg.obj_tol:
-            converged = True
-            break
+    state, steps, _, _, converged = _descend(
+        (init.data, s, tau, nll, grad), prox, prob.nll, tau, cfg.max_inner, stop,
+        fixed_step=True,
+    )
     report.inner_iters.append(steps)
     if not converged:
         report.converged = False
@@ -536,7 +538,7 @@ def fit_rmde(
         )
     report.kernel_calls = prob.kernel_calls
     report.wall_time = time.perf_counter() - start
-    return LambdaMatrix(data=data, bag_ids=init.bag_ids), report
+    return LambdaMatrix(data=state[0], bag_ids=init.bag_ids), report
 
 
 def rmde_continuation(

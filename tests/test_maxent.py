@@ -553,9 +553,8 @@ class TestLazyNewton:
         same_bits(lazy_fit_sde(st, spec2d, grid2d, NewtonConfig(), engine2d), eager)
 
     def test_bags_alternating_engines_match_eager_bits(self, grid2d, rng):
-        # Two engines on one grid take turns: each switch replaces the
-        # thread's cached start, and every fit still starts from its own
-        # engine's.
+        # Two engines on one grid take turns: every fit starts from its own
+        # engine's cached start.
         specs = [make_basis(2, 8, seed=s) for s in (21, 22)]
         engines = [BasisGrid(spec, grid2d) for spec in specs]
         bags = [rng.uniform(-2, 2, size=(200, 2)) for _ in range(6)]
@@ -595,14 +594,14 @@ class TestLazyNewton:
         # A bag whose empirical mean is the uniform density's converges at
         # lam = 0: the density returned is the start, in arrays of its own.
         engine = BasisGrid(spec2d, grid2d)
-        _, start_mean, start_cov = maxent_mod._uniform_start(engine)
+        _, start_mean, start_cov = engine.uniform_start
         assert not start_mean.flags.writeable and not start_cov.flags.writeable
         st = SufficientStats(bag_id="u", n=50, phi_bar=np.clip(start_mean, -1, 1))
         dens = fit_sde(st, spec2d, grid2d, engine=engine)
         assert np.abs(dens.lam).max() == 0.0
         assert not np.shares_memory(dens.mean_phi, start_mean)
         assert not np.shares_memory(dens.lam, start_mean)
-        assert maxent_mod._uniform_start(engine)[1] is start_mean
+        assert engine.uniform_start[1] is start_mean
 
 
 class TestEngineCheck:

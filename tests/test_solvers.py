@@ -347,7 +347,8 @@ class TestLineSearch:
     """Constructed quadratic: g(Y) = curv/2 |Y - A|_F^2, whose majorization
     holds exactly when tau >= curv."""
 
-    def setup_quadratic(self, rng, curv):
+    @staticmethod
+    def setup_quadratic(rng, curv):
         a = rng.standard_normal((5, 4))
         bar = rng.standard_normal((5, 4))
 
@@ -459,6 +460,60 @@ class TestLineSearch:
             assert ok and curv <= tau <= tau_lip
 
 
+class TestDescend:
+    """_descend on TestLineSearch's constructed quadratic, with every
+    line_search call recorded as (tau_prev, its return value)."""
+
+    def descend(self, rng, monkeypatch, stop, max_steps=6, fixed_step=False, tau_lip=100.0):
+        bar, g_and_grad, g_bar, grad_bar = TestLineSearch.setup_quadratic(rng, 2.0)
+        calls = []
+        original = solvers_mod.line_search
+
+        def recording(*args):
+            out = original(*args)
+            calls.append((args[2], out))
+            return out
+
+        monkeypatch.setattr(solvers_mod, "line_search", recording)
+        start = (bar, np.linalg.svd(bar, compute_uv=False), 1e-3, g_bar, grad_bar)
+        out = solvers_mod._descend(
+            start, soft(1.0), g_and_grad, tau_lip, max_steps, stop, fixed_step
+        )
+        return out, calls
+
+    def test_budget_spent_when_stop_never_holds(self, rng, monkeypatch):
+        (state, steps, probes, ok, stopped), calls = self.descend(
+            rng, monkeypatch, lambda old, new: False
+        )
+        assert steps == len(calls) == 6 and not stopped and ok
+        assert probes == sum(out[6] for _, out in calls) > steps
+        tau, cand, s_cand, _, g_cand, grad_cand, _ = calls[-1][1]
+        assert all(a is b for a, b in zip(state, (cand, s_cand, tau, g_cand, grad_cand)))
+        # Each step starts from the tau the previous one accepted.
+        assert [prev for prev, _ in calls[1:]] == [out[0] for _, out in calls[:-1]]
+
+    def test_ends_at_the_step_the_rule_holds(self, rng, monkeypatch):
+        seen = []
+
+        def stop(old, new):
+            seen.append((old, new))
+            return len(seen) == 3
+
+        (state, steps, _, _, stopped), calls = self.descend(rng, monkeypatch, stop)
+        assert steps == len(calls) == 3 and stopped
+        assert state is seen[-1][1]
+        # The rule compares each step's state with the one before it.
+        assert all(prev[1] is old for prev, (old, _) in zip(seen, seen[1:]))
+
+    def test_fixed_step_starts_every_search_from_inf(self, rng, monkeypatch):
+        (_, steps, probes, ok, _), calls = self.descend(
+            rng, monkeypatch, lambda old, new: False, fixed_step=True, tau_lip=4.0
+        )
+        assert [prev for prev, _ in calls] == [math.inf] * steps
+        assert probes == steps and ok
+        assert {out[0] for _, out in calls} == {4.0}
+
+
 def replay_bracket(report, cfg):
     """Re-derive the dual bracket walk from the traces and check the
     documented semantics: doubling until feasible, then strict halving."""
@@ -557,7 +612,7 @@ class TestFitCmen:
         hat, stats = hat_and_stats
         calls = count_kernel_work(engine2d_mod, monkeypatch)
         solves = []
-        original_inner = solvers_mod._cmen_inner
+        original_inner = solvers_mod._descend
 
         def recording(*args, **kwargs):
             before = dict(calls)
@@ -565,7 +620,7 @@ class TestFitCmen:
             solves.append({k: calls[k] - before[k] for k in calls} | {"probes": out[2], "steps": out[1]})
             return out
 
-        monkeypatch.setattr(solvers_mod, "_cmen_inner", recording)
+        monkeypatch.setattr(solvers_mod, "_descend", recording)
         _, report = fit_cmen(
             stats, spec2d_mod, grid2d_mod, newton=NEWTON, engine=engine2d_mod, lambda_hat=hat
         )
